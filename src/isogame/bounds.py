@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .errors import UnknownBoundError
 from .graph import Graph
 
 TARGET_DGAME = "igt"
@@ -169,7 +170,7 @@ def bounds_by_name(names: list[str] | tuple[str, ...] | None) -> tuple[BoundSpec
     known = {spec.name: spec for spec in specs}
     unknown = [name for name in names if name not in known]
     if unknown:
-        raise KeyError(
+        raise UnknownBoundError(
             f"unknown bound(s) {', '.join(unknown)}; valid: {', '.join(known)}")
     return tuple(known[name] for name in names)
 

@@ -8,6 +8,7 @@ raised with the ISOGAME_SOLVER_CAP environment variable.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from typing import Sequence
 
@@ -54,10 +55,32 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _corpus_entries(path: str):
+    # Undecodable bytes become U+FFFD, which the graph6 parser rejects, so
+    # such a line is skipped with a warning like any other malformed line.
     if path == "-":
-        return load_graph6_corpus(sys.stdin, source="stdin")
-    with open(path, encoding="ascii") as handle:
+        stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="ascii", errors="replace")
+        try:
+            return load_graph6_corpus(stdin, source="stdin")
+        finally:
+            stdin.detach()
+    with open(path, encoding="ascii", errors="replace") as handle:
         return load_graph6_corpus(handle, source=path)
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
+    return value
 
 
 def _build_strategy(name: str, role: Player, seed: int, cap: int,
@@ -218,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("corpus", help="graph6 file, one graph per line, or -")
     p_verify.add_argument("--bounds", nargs="+", metavar="NAME",
                           help=f"subset of bounds: {', '.join(bound_names())}")
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=_int_at_least(1), default=1)
     p_verify.add_argument("--out", metavar="FILE",
                           help="write a report (.json or .csv by extension)")
     p_verify.set_defaults(handler=_cmd_verify)
@@ -235,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_diam2 = sub.add_parser("diam2",
                              help="random-graph sampling of the diameter-2 bound")
     p_diam2.add_argument("--n", type=int, required=True)
-    p_diam2.add_argument("--p", type=float, required=True)
-    p_diam2.add_argument("--trials", type=int, required=True)
+    p_diam2.add_argument("--p", type=_probability, required=True)
+    p_diam2.add_argument("--trials", type=_int_at_least(0), required=True)
     p_diam2.add_argument("--seed", type=int, default=0)
     p_diam2.set_defaults(handler=_cmd_diam2)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import GameStateError, GraphDomainError, IllegalMoveError
 from .graph import Graph, iter_bits, open_neighborhood
@@ -28,8 +29,7 @@ class Player(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class MarkPartition:
+class MarkPartition(NamedTuple):
     """Disjoint marked/unmarked bitmasks covering the whole vertex set."""
     marked: int
     unmarked: int
@@ -43,13 +43,38 @@ def marked_set(g: Graph, played: int) -> MarkPartition:
     vertices whose neighbors were all deleted with the played neighborhood.
     """
     g._check_subset(played)
-    covered = open_neighborhood(g, played)
+    adj = g.adj
+    covered = 0
+    rest = played
+    while rest:
+        low = rest & -rest
+        covered |= adj[low.bit_length() - 1]
+        rest ^= low
+    full = g.full_mask
+    survivors = full & ~covered
     marked = covered
-    survivors = g.full_mask & ~covered
-    for v in iter_bits(survivors & ~played):
-        if g.adj[v] & survivors == 0:
-            marked |= 1 << v
-    return MarkPartition(marked=marked, unmarked=g.full_mask & ~marked)
+    rest = survivors & ~played
+    while rest:
+        low = rest & -rest
+        if not adj[low.bit_length() - 1] & survivors:
+            marked |= low
+        rest ^= low
+    return MarkPartition(marked, full & ~marked)
+
+
+def playable_from(g: Graph, unmarked: int) -> int:
+    """Vertices with at least one neighbor in the ``unmarked`` mask.
+
+    Adjacency is symmetric, so these are the neighbors of the unmarked
+    vertices.
+    """
+    adj = g.adj
+    out = 0
+    while unmarked:
+        low = unmarked & -unmarked
+        out |= adj[low.bit_length() - 1]
+        unmarked ^= low
+    return out
 
 
 def playable_set(g: Graph, played: int) -> int:
@@ -60,12 +85,7 @@ def playable_set(g: Graph, played: int) -> int:
     neighborhood and are marked). The slow two-clause form lives in
     :mod:`isogame.oracles` and the two are cross-checked under test.
     """
-    unmarked = marked_set(g, played).unmarked
-    out = 0
-    for v in range(g.n):
-        if g.adj[v] & unmarked:
-            out |= 1 << v
-    return out
+    return playable_from(g, marked_set(g, played).unmarked)
 
 
 def is_isolating_set(g: Graph, members: int) -> bool:

@@ -40,6 +40,13 @@ class GameStateError(IsogameError, ValueError):
     """An operation was asked of a state it does not apply to (e.g. terminal)."""
 
 
+class UnknownBoundError(IsogameError, KeyError):
+    """A bound filter names a bound that does not exist."""
+
+    # KeyError would print the message quoted, as if it were a missing key.
+    __str__ = Exception.__str__
+
+
 class SolverCapError(IsogameError, ValueError):
     """Graph order exceeds the solver cap; raise the cap to proceed."""
 

@@ -1,4 +1,4 @@
-"""Exact game values by memoized minimax over (played set, mover) states.
+"""Exact game values by alpha-beta minimax over (played set, mover) states.
 
 Marking depends only on the played set, so legal moves and the remaining
 move count are functions of (played set, mover); that Markov property is
@@ -10,10 +10,10 @@ lowest vertex index, so values and principal variations are reproducible.
 from __future__ import annotations
 
 import os
-import weakref
+import sys
 from dataclasses import dataclass
 
-from .engine import GameState, Player, marked_set
+from .engine import GameState, Player, marked_set, playable_from
 from .errors import GameStateError, GraphDomainError, SolverCapError
 from .graph import Graph, iter_bits
 
@@ -21,6 +21,7 @@ DEFAULT_SOLVER_CAP = 20
 SOLVER_CAP_ENV = "ISOGAME_SOLVER_CAP"
 
 _EXACT, _LOWER, _UPPER = 0, 1, 2
+_UNBOUNDED = sys.maxsize
 
 
 def solver_cap_from_env(default: int = DEFAULT_SOLVER_CAP) -> int:
@@ -42,12 +43,17 @@ class GameValue:
 
 @dataclass(frozen=True)
 class TableStats:
+    """Transposition-table entries, and probes the table settled."""
     states: int
     hits: int
 
 
 class StateCache:
-    """Per-graph cache of (unmarked mask, playable mask) keyed by played set."""
+    """(unmarked mask, playable mask) per played set, for one graph.
+
+    A plain memo owned by the solve or simulation that creates it, so its
+    marks are freed together with that owner.
+    """
 
     def __init__(self, g: Graph):
         self.graph = g
@@ -59,36 +65,14 @@ class StateCache:
             return cached
         g = self.graph
         unmarked = marked_set(g, played).unmarked
-        playable = 0
-        for v in range(g.n):
-            if g.adj[v] & unmarked:
-                playable |= 1 << v
-        result = (unmarked, playable)
-        self._info[played] = result
+        result = self._info[played] = (unmarked, playable_from(g, unmarked))
         return result
-
-    def unmarked(self, played: int) -> int:
-        return self.info(played)[0]
-
-    def playable(self, played: int) -> int:
-        return self.info(played)[1]
 
     def mark_gain(self, played: int, v: int) -> int:
         """Number of vertices newly marked by playing ``v``."""
-        before = self.unmarked(played)
-        after = self.unmarked(played | 1 << v)
+        before = self.info(played)[0]
+        after = self.info(played | 1 << v)[0]
         return before.bit_count() - after.bit_count()
-
-
-_shared_caches: "weakref.WeakKeyDictionary[Graph, StateCache]" = weakref.WeakKeyDictionary()
-
-
-def shared_cache(g: Graph) -> StateCache:
-    """One StateCache per live graph, shared across solvers and strategies."""
-    cache = _shared_caches.get(g)
-    if cache is None:
-        cache = _shared_caches[g] = StateCache(g)
-    return cache
 
 
 def check_solvable(g: Graph, cap: int) -> None:
@@ -103,99 +87,47 @@ def check_solvable(g: Graph, cap: int) -> None:
 
 
 class Solver:
-    """Memoized minimax for one graph; shareable across both start variants."""
+    """Alpha-beta minimax with a transposition table, for one graph.
 
-    def __init__(self, g: Graph, cap: int = DEFAULT_SOLVER_CAP):
-        check_solvable(g, cap)
-        self.graph = g
-        self.cache = shared_cache(g)
-        self._memo: dict[tuple[int, bool], int] = {}
-        self._hits = 0
-
-    @property
-    def stats(self) -> TableStats:
-        return TableStats(states=len(self._memo), hits=self._hits)
-
-    def value(self, played: int, mover: Player) -> int:
-        """Moves remaining from this position under optimal play."""
-        dom = mover is Player.DOMINATOR
-        key = (played, dom)
-        cached = self._memo.get(key)
-        if cached is not None:
-            self._hits += 1
-            return cached
-        unmarked, playable = self.cache.info(played)
-        if unmarked == 0:
-            result = 0
-        else:
-            other = mover.other
-            best = None
-            limit = unmarked.bit_count()
-            for v in iter_bits(playable):
-                child = 1 + self.value(played | 1 << v, other)
-                if best is None or (child < best if dom else child > best):
-                    best = child
-                # Each move marks >= 1 vertex, so 1 and |unmarked| bracket
-                # the remaining-move value; stop once the mover attains it.
-                if child == (1 if dom else limit):
-                    break
-            result = best
-        self._memo[key] = result
-        return result
-
-    def best_move(self, played: int, mover: Player) -> int:
-        """Lowest-index playable vertex attaining the mover's optimum."""
-        unmarked, playable = self.cache.info(played)
-        if unmarked == 0:
-            raise GameStateError("no optimal move in a terminal state")
-        target = self.value(played, mover)
-        for v in iter_bits(playable):
-            if 1 + self.value(played | 1 << v, mover.other) == target:
-                return v
-        raise AssertionError("some child must attain the minimax value")
-
-    def game_value(self, first_mover: Player) -> GameValue:
-        total = self.value(0, first_mover)
-        variation = []
-        played, mover = 0, first_mover
-        while self.cache.unmarked(played):
-            v = self.best_move(played, mover)
-            variation.append(v)
-            played |= 1 << v
-            mover = mover.other
-        assert len(variation) == total
-        return GameValue(total_moves=total, principal_variation=tuple(variation))
-
-
-class PrunedSolver:
-    """Alpha-beta variant; must agree move-for-move in value with Solver.
-
-    The transposition table stores bound flags so entries written under a
-    cut window never leak as exact values.
+    One table serves both starts: entries are keyed by
+    ``played << 1 | dominator_to_move`` and carry a bound flag, so a value
+    found under a cut window is never read back as exact (Knuth & Moore
+    1975).
     """
 
     def __init__(self, g: Graph, cap: int = DEFAULT_SOLVER_CAP):
         check_solvable(g, cap)
         self.graph = g
-        self.cache = shared_cache(g)
-        self._table: dict[tuple[int, bool], tuple[int, int]] = {}
+        self.cache = StateCache(g)
+        self._table: dict[int, tuple[int, int]] = {}
+        self._hits = 0
+
+    @property
+    def stats(self) -> TableStats:
+        return TableStats(states=len(self._table), hits=self._hits)
 
     def value(self, played: int, mover: Player,
-              alpha: int | None = None, beta: int | None = None) -> int:
-        if alpha is None:
-            alpha, beta = -1, self.graph.n + 1
+              alpha: int = -1, beta: int = _UNBOUNDED) -> int:
+        """Moves remaining from this position under optimal play.
+
+        Exact under the default window. Under a window ``(alpha, beta)`` a
+        result strictly inside it is exact, one at or below ``alpha`` is an
+        upper bound and one at or above ``beta`` a lower bound.
+        """
         dom = mover is Player.DOMINATOR
-        key = (played, dom)
+        key = played << 1 | dom
         entry = self._table.get(key)
         if entry is not None:
             flag, stored = entry
             if flag == _EXACT:
+                self._hits += 1
                 return stored
             if flag == _LOWER:
                 alpha = max(alpha, stored)
             else:
                 beta = min(beta, stored)
             if alpha >= beta:
+                self._hits += 1
                 return stored
         unmarked, playable = self.cache.info(played)
         if unmarked == 0:
@@ -222,27 +154,35 @@ class PrunedSolver:
             self._table[key] = (_EXACT, best)
         return best
 
+    def best_move(self, played: int, mover: Player) -> int:
+        """Lowest-index playable vertex attaining the mover's optimum."""
+        unmarked, playable = self.cache.info(played)
+        if unmarked == 0:
+            raise GameStateError("no optimal move in a terminal state")
+        target = self.value(played, mover)
+        for v in iter_bits(playable):
+            if 1 + self.value(played | 1 << v, mover.other) == target:
+                return v
+        raise AssertionError("some child must attain the minimax value")
+
     def game_value(self, first_mover: Player) -> GameValue:
         total = self.value(0, first_mover)
         variation = []
         played, mover = 0, first_mover
-        while self.cache.unmarked(played):
-            target = self.value(played, mover)
-            for v in iter_bits(self.cache.playable(played)):
-                if 1 + self.value(played | 1 << v, mover.other) == target:
-                    variation.append(v)
-                    break
-            played |= 1 << variation[-1]
+        while self.cache.info(played)[0]:
+            v = self.best_move(played, mover)
+            variation.append(v)
+            played |= 1 << v
             mover = mover.other
+        assert len(variation) == total
         return GameValue(total_moves=total, principal_variation=tuple(variation))
 
 
 def solve(g: Graph, first_mover: Player = Player.DOMINATOR,
-          cap: int = DEFAULT_SOLVER_CAP, pruning: bool = False) -> GameValue:
+          cap: int = DEFAULT_SOLVER_CAP) -> GameValue:
     """Game length under optimal play: the Dominator-start value for
     ``Player.DOMINATOR``, the Staller-start value for ``Player.STALLER``."""
-    solver = PrunedSolver(g, cap) if pruning else Solver(g, cap)
-    return solver.game_value(first_mover)
+    return Solver(g, cap).game_value(first_mover)
 
 
 def optimal_move(state: GameState, cap: int = DEFAULT_SOLVER_CAP) -> int:
@@ -265,6 +205,6 @@ def solve_both(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> tuple[int, int]:
 
 __all__ = [
     "DEFAULT_SOLVER_CAP", "SOLVER_CAP_ENV", "GameValue", "TableStats",
-    "StateCache", "shared_cache", "Solver", "PrunedSolver", "solve", "optimal_move",
+    "StateCache", "Solver", "solve", "optimal_move",
     "cp_gap", "solve_both", "solver_cap_from_env",
 ]

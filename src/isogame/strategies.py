@@ -15,12 +15,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .engine import GameState, Player, new_game
+from .engine import GameState, Player, marked_set, new_game, playable_from
 from .errors import (GameStateError, IllegalMoveError, ProtocolViolationError,
                      SnapshotDomainError, StrategyDomainError)
 from .graph import (Graph, closed_neighborhood, induced_subgraph, iter_bits,
                     open_neighborhood, vertex_set, vertices_of)
-from .solver import DEFAULT_SOLVER_CAP, Solver, check_solvable, shared_cache
+from .solver import DEFAULT_SOLVER_CAP, Solver, StateCache, check_solvable
 
 STAGE_BURST = 1
 STAGE_TRICKLE = 2
@@ -51,25 +51,31 @@ class Strategy:
         return note
 
 
-def _mark_gains(state: GameState) -> list[tuple[int, int]]:
-    """(vertex, new-mark count) for every playable vertex, ascending index."""
-    cache = shared_cache(state.graph)
-    playable = cache.playable(state.played)
+def _mark_gains(g: Graph, played: int, within: int = -1) -> list[tuple[int, int]]:
+    """(vertex, new-mark count) for every playable vertex in ``within``,
+    ascending index."""
+    unmarked = marked_set(g, played).unmarked
+    playable = playable_from(g, unmarked) & within
     if playable == 0:
         raise GameStateError("no moves in a terminal state")
-    return [(v, cache.mark_gain(state.played, v)) for v in iter_bits(playable)]
+    before = unmarked.bit_count()
+    return [(v, before - marked_set(g, played | 1 << v).unmarked.bit_count())
+            for v in iter_bits(playable)]
 
 
-def greedy_move(state: GameState) -> int:
-    """Playable vertex marking the most new vertices; ties to lowest index."""
-    gains = _mark_gains(state)
+def _first_max(gains: list[tuple[int, int]]) -> int:
     best = max(gain for _, gain in gains)
     return next(v for v, gain in gains if gain == best)
 
 
+def greedy_move(state: GameState) -> int:
+    """Playable vertex marking the most new vertices; ties to lowest index."""
+    return _first_max(_mark_gains(state.graph, state.played))
+
+
 def modified_greedy_move(state: GameState) -> int:
     """Greedy, preferring non-leaves among the maximizers when any exist."""
-    gains = _mark_gains(state)
+    gains = _mark_gains(state.graph, state.played)
     best = max(gain for _, gain in gains)
     maximizers = [v for v, gain in gains if gain == best]
     for v in maximizers:
@@ -215,11 +221,7 @@ class ExtremalStaller(Strategy):
             return solver.best_move(state.played, Player.STALLER)
         kind = kinds[comp_index]
         if kind in ("P3", "C3"):
-            cache = shared_cache(g)
-            gains = [(v, cache.mark_gain(state.played, v))
-                     for v in iter_bits(in_component)]
-            best = max(gain for _, gain in gains)
-            return next(v for v, gain in gains if gain == best)
+            return _first_max(_mark_gains(g, state.played, comp))
         if kind == "C6":
             antipode = next(v for v in vertices_of(comp)
                             if g.distance(last, v) == 3)
@@ -267,18 +269,18 @@ class GameTrace:
 def _burst_available(cache: StateCache, played: int) -> bool:
     """True while some legal move still marks two or more new vertices."""
     return any(cache.mark_gain(played, v) >= 2
-               for v in iter_bits(cache.playable(played)))
+               for v in iter_bits(cache.info(played)[1]))
 
 
 def simulate(g: Graph, dominator: Strategy, staller: Strategy,
              first_mover: Player = Player.DOMINATOR) -> GameTrace:
     """Play a complete game, recording per-move mark counts and stages."""
     state = new_game(g, first_mover)
-    cache = shared_cache(g)
+    cache = StateCache(g)
     history: list[int] = []
     records: list[MoveRecord] = []
     last_dominator_stage: int | None = None
-    while cache.unmarked(state.played):
+    while cache.info(state.played)[0]:
         mover = state.mover
         strategy = dominator if mover is Player.DOMINATOR else staller
         v = strategy.choose(state, tuple(history))
@@ -290,7 +292,7 @@ def simulate(g: Graph, dominator: Strategy, staller: Strategy,
         else:
             # Staller opens the game: classify by the pre-move position.
             stage = STAGE_BURST if _burst_available(cache, state.played) else STAGE_TRICKLE
-        gain = cache.mark_gain(state.played, v) if cache.playable(state.played) >> v & 1 else 0
+        gain = cache.mark_gain(state.played, v) if cache.info(state.played)[1] >> v & 1 else 0
         try:
             state = state.play(v)
         except IllegalMoveError as exc:
@@ -343,8 +345,7 @@ def stage_snapshot(trace: GameTrace) -> StageSnapshot | None:
         return None
     g = trace.graph
     played = trace.played_before(boundary)
-    cache = shared_cache(g)
-    unmarked = cache.unmarked(played)
+    unmarked = marked_set(g, played).unmarked
     neighbors = open_neighborhood(g, unmarked)
     remote = g.full_mask & ~closed_neighborhood(g, unmarked)
     leaves = vertex_set(v for v in iter_bits(unmarked) if g.degree(v) == 1)
@@ -379,7 +380,7 @@ class ForcedGameSolver:
         self.graph = g
         self.strategy = strategy
         self.fixed_role = fixed_role
-        self.cache = shared_cache(g)
+        self.cache = StateCache(g)
         self._memo: dict[tuple[int, bool, int | None], int] = {}
 
     def _state(self, played: int, mover: Player) -> GameState:

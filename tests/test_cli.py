@@ -107,6 +107,46 @@ def test_verify_malformed_line_warns_but_passes(capsys, tmp_path):
     assert "skipped" in err or "skipped" in out
 
 
+def test_verify_non_ascii_line_warns_but_passes(capsys, tmp_path):
+    corpus = tmp_path / "c.g6"
+    corpus.write_bytes(emit_graph6(path(5)).encode() + b"\n\xc3\xa9\xff\n")
+    for command in ("verify", "scan-conjecture", "cp-scan"):
+        code, _, err = run(capsys, command, str(corpus))
+        assert code == 0, command
+        assert f"skipped {corpus}:2:" in err, command
+
+
+def test_verify_stdin_non_ascii_line_warns_but_passes(capsys, monkeypatch):
+    data = emit_graph6(path(5)).encode() + b"\n\xff\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 0
+    assert "verified 1 graphs" in out
+    assert "skipped stdin:2:" in err
+
+
+def test_verify_unknown_bound_is_usage_error(capsys, tmp_path):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(emit_graph6(path(5)) + "\n")
+    code, _, err = run(capsys, "verify", str(corpus), "--bounds", "T99")
+    assert code == 2
+    assert "error: unknown bound(s) T99;" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("diam2", "--n", "8", "--p", "0.5", "--trials", "-4"),
+    ("diam2", "--n", "8", "--p", "1.7", "--trials", "3"),
+    ("diam2", "--n", "8", "--p", "-0.1", "--trials", "3"),
+    ("verify", "unused.g6", "--jobs", "0"),
+    ("verify", "unused.g6", "--jobs", "-3"),
+])
+def test_out_of_range_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must" in err
+
+
 def test_verify_csv_output(capsys, tmp_path):
     corpus = tmp_path / "c.g6"
     corpus.write_text(emit_graph6(cycle(5)) + "\n")

@@ -1,6 +1,9 @@
-"""Exact solver: point values, principal variations, pruning, oracle parity."""
+"""Exact solver: point values, principal variations, bound-flag table,
+oracle parity."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -8,8 +11,10 @@ from isogame import oracles
 from isogame.engine import GameState, Player, new_game, replay
 from isogame.errors import GameStateError, GraphDomainError, SolverCapError
 from isogame.families import complete, cycle, path, random_connected
-from isogame.solver import (PrunedSolver, Solver, cp_gap, optimal_move, solve,
-                            solve_both, solver_cap_from_env)
+from isogame import lab, strategies
+from isogame.solver import (_EXACT, _LOWER, _UPPER, Solver, cp_gap,
+                            optimal_move, solve, solve_both,
+                            solver_cap_from_env)
 
 P5 = path(5)
 
@@ -74,40 +79,46 @@ def test_matches_brute_oracle_small(small_connected):
 
 
 def test_table_entries_match_memo_free_values():
-    """Spot-check stored remaining-move counts against the oracle from
-    mid-game positions."""
+    """Every kind of table entry, exact or a bound stored under a cut
+    window, reads back through ``value`` as the oracle's exact value."""
     rng = random.Random(5)
+    seen = set()
     for _ in range(20):
         g = random_connected(rng.randint(3, 7), 0.5, 1, seed=rng.random())
         solver = Solver(g)
         solver.game_value(Player.DOMINATOR)
-        sampled = rng.sample(sorted(solver._memo), min(10, len(solver._memo)))
-        for played, dominator_to_move in sampled:
-            mover = Player.DOMINATOR if dominator_to_move else Player.STALLER
-            assert solver.value(played, mover) == oracles.brute_solve_from(
-                g, set(v for v in range(g.n) if played >> v & 1), mover)
-
-
-def test_pruned_mode_value_identical(small_connected):
-    for g in small_connected:
-        for mover in (Player.DOMINATOR, Player.STALLER):
-            assert (PrunedSolver(g).value(0, mover)
-                    == Solver(g).value(0, mover))
-
-
-def test_pruned_mode_on_random_graphs():
-    rng = random.Random(7)
-    for _ in range(40):
-        g = random_connected(rng.randint(3, 9), rng.uniform(0.3, 0.7), 1,
-                             seed=rng.random())
-        assert solve(g, pruning=True).total_moves == solve(g).total_moves
-        assert (solve(g, Player.STALLER, pruning=True).total_moves
-                == solve(g, Player.STALLER).total_moves)
+        by_flag = {flag: [] for flag in (_EXACT, _LOWER, _UPPER)}
+        for key, (flag, _) in sorted(solver._table.items()):
+            by_flag[flag].append(key)
+        for flag, keys in by_flag.items():
+            if keys:
+                seen.add(flag)
+            for key in rng.sample(keys, min(5, len(keys))):
+                played, dominator_to_move = key >> 1, key & 1
+                mover = Player.DOMINATOR if dominator_to_move else Player.STALLER
+                assert solver.value(played, mover) == oracles.brute_solve_from(
+                    g, set(v for v in range(g.n) if played >> v & 1), mover)
+    assert seen == {_EXACT, _LOWER, _UPPER}
 
 
 def test_solve_both_shares_one_table():
     igt, igts = solve_both(path(5))
     assert (igt, igts) == (2, 4)
+
+
+def test_solving_does_not_pin_the_graph():
+    """Marks live only as long as the solve or simulation that made them."""
+    g = random_connected(8, 0.4, 2, seed=11)
+    solve_both(g)
+    lab.evaluate_graph("g", g)
+    strategies.simulate(g, strategies.GreedyDominator(),
+                        strategies.OptimalStrategy())
+    strategies.best_response_value(g, strategies.GreedyDominator(),
+                                   Player.DOMINATOR)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_domain_and_capacity_errors():

@@ -10,7 +10,7 @@ from isogame.errors import (GameStateError, SnapshotDomainError,
 from isogame.families import (complete, cycle, disjoint_union, from_shorthand,
                               path, random_connected)
 from isogame.graph import Graph, is_independent, is_packing, vertex_set
-from isogame.solver import shared_cache, solve
+from isogame.solver import StateCache, solve
 from isogame.strategies import (STAGE_BURST, STAGE_TRICKLE,
                                 BestResponseStrategy, ExtremalStaller,
                                 GreedyDominator, ModifiedGreedyDominator,
@@ -27,7 +27,7 @@ from conftest import random_isolate_free
 def test_greedy_p5_plays_center():
     state = new_game(path(5))
     assert greedy_move(state) == 2
-    assert shared_cache(state.graph).mark_gain(0, 2) == 4
+    assert StateCache(state.graph).mark_gain(0, 2) == 4
 
 
 def test_greedy_c6_tie_breaks_low():
@@ -40,7 +40,7 @@ def test_greedy_first_gain_at_least_max_degree():
         g = random_isolate_free(rng)
         state = new_game(g)
         v = greedy_move(state)
-        assert shared_cache(g).mark_gain(0, v) >= g.max_degree
+        assert StateCache(g).mark_gain(0, v) >= g.max_degree
 
 
 def test_greedy_errors_on_terminal():

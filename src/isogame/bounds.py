@@ -203,4 +203,4 @@ def check_bound(spec: BoundSpec, facts: GraphFacts, igt: int, igts: int) -> Boun
 def check_all(facts: GraphFacts, igt: int, igts: int,
               specs: tuple[BoundSpec, ...] | None = None) -> tuple[BoundCheck, ...]:
     return tuple(check_bound(spec, facts, igt, igts)
-                 for spec in (specs or builtin_bounds()))
+                 for spec in (builtin_bounds() if specs is None else specs))

@@ -41,7 +41,8 @@ def _load_graph(args) -> Graph:
     if args.g6 is not None:
         text = sys.stdin.readline() if args.g6 == "-" else args.g6
         return parse_graph6(text.strip())
-    with open(args.edge_list, encoding="ascii") as handle:
+    # As for corpora: undecodable bytes become U+FFFD, a GraphFormatError.
+    with open(args.edge_list, encoding="ascii", errors="replace") as handle:
         return parse_edge_list(handle.read())
 
 
@@ -65,6 +66,11 @@ def _corpus_entries(path: str):
             stdin.detach()
     with open(path, encoding="ascii", errors="replace") as handle:
         return load_graph6_corpus(handle, source=path)
+
+
+def _warn_skipped(skipped: Sequence[tuple[str, str]]) -> None:
+    for gid, reason in skipped:
+        print(f"warning: skipped {gid}: {reason}", file=sys.stderr)
 
 
 def _int_at_least(low: int):
@@ -148,10 +154,9 @@ def _cmd_verify(args) -> int:
         bad = [c.name for c in report.checks if c.applicable and not c.passed]
         status = "FAIL " + ",".join(bad) if bad else "ok"
         print(f"{report.gid} n={report.n} igt={report.igt} igtS={report.igts} {status}")
-    for gid, reason in result.skipped:
-        print(f"warning: skipped {gid}: {reason}", file=sys.stderr)
+    _warn_skipped(result.skipped)
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="") as handle:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             if args.out.endswith(".csv"):
                 write_csv_report(result, handle)
             else:
@@ -164,8 +169,7 @@ def _cmd_verify(args) -> int:
 def _cmd_scan_conjecture(args) -> int:
     entries = _corpus_entries(args.corpus)
     scan = scan_conjecture(entries, cap=solver_cap_from_env())
-    for gid, reason in scan.skipped:
-        print(f"note: skipped {gid}: {reason}", file=sys.stderr)
+    _warn_skipped(scan.skipped)
     if scan.counterexamples:
         print("!" * 72)
         print("COUNTEREXAMPLE(S) TO THE 2/3 BOUND FOUND - this is a new result,")
@@ -182,8 +186,7 @@ def _cmd_scan_conjecture(args) -> int:
 def _cmd_cp_scan(args) -> int:
     entries = _corpus_entries(args.corpus)
     scan = cp_scan(entries, cap=solver_cap_from_env())
-    for gid, reason in scan.skipped:
-        print(f"note: skipped {gid}: {reason}", file=sys.stderr)
+    _warn_skipped(scan.skipped)
     for gap in sorted(scan.histogram):
         print(f"gap {gap:+d}: {scan.histogram[gap]} graphs")
     print(f"max |igtS - igt| = {scan.max_abs_gap}; witnesses: "

@@ -141,13 +141,18 @@ class GameState:
         return after
 
 
-def new_game(g: Graph, first_mover: Player = Player.DOMINATOR) -> GameState:
-    """Start a game; rejects graphs with isolated vertices (the end-set
-    guarantee fails on them) and graphs with fewer than 2 vertices."""
+def check_game_domain(g: Graph) -> None:
+    """Reject graphs the game is not defined on: fewer than 2 vertices, or
+    an isolated vertex (the end-set guarantee fails on them)."""
     if g.n < 2:
         raise GraphDomainError(f"the game needs at least 2 vertices, got n={g.n}")
     if g.min_degree == 0:
         raise GraphDomainError("the game is defined on isolate-free graphs only")
+
+
+def new_game(g: Graph, first_mover: Player = Player.DOMINATOR) -> GameState:
+    """Start a game on a graph that :func:`check_game_domain` accepts."""
+    check_game_domain(g)
     return GameState(graph=g, played=0, first_mover=first_mover)
 
 

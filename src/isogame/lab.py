@@ -1,9 +1,9 @@
 """Corpus verification lab: solve graphs in bulk and check every bound.
 
-Corpora are graph6 files, one graph per line. Parse failures skip the line
-with a note and never abort a run; the exit-code contract cares only about
-bound violations and conjecture counterexamples. Reports keep input order
-regardless of worker count.
+Corpora are graph6 files, one graph per line. A line that fails to parse or
+a graph that ``check_solvable`` rejects is skipped with its reason, never
+aborting a run; the exit-code contract cares only about bound violations and
+conjecture counterexamples. Reports keep input order regardless of workers.
 """
 
 from __future__ import annotations
@@ -13,17 +13,16 @@ import json
 import multiprocessing
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .bounds import (BoundCheck, GraphFacts, bounds_by_name, check_all,
-                     satisfies)
+                     check_bound)
 from .engine import Player
-from .errors import GraphFormatError
+from .errors import GraphDomainError, GraphFormatError, SolverCapError
 from .families import random_graph
 from .graph import Graph
 from .graph6 import iter_graph6_lines, parse_graph6
-from .solver import DEFAULT_SOLVER_CAP, Solver
+from .solver import DEFAULT_SOLVER_CAP, Solver, check_solvable
 
 REPORT_SCHEMA = 1
 CSV_COLUMNS = ["id", "n", "m", "delta", "Delta", "diam", "igt", "igtS",
@@ -47,6 +46,22 @@ def load_graph6_corpus(lines: Iterable[str], source: str = "corpus") -> list[Cor
         except GraphFormatError as exc:
             entries.append(CorpusEntry(gid=gid, graph=None, error=str(exc)))
     return entries
+
+
+def _solvable(entries: Iterable[CorpusEntry], cap: int,
+              skipped: list[tuple[str, str]]) -> Iterator[tuple[str, Graph]]:
+    """Yield ``(gid, graph)`` for each entry that ``check_solvable`` accepts;
+    append ``(gid, reason)`` to ``skipped`` for every other one."""
+    for entry in entries:
+        if entry.graph is None:
+            skipped.append((entry.gid, entry.error))
+            continue
+        try:
+            check_solvable(entry.graph, cap)
+        except (GraphDomainError, SolverCapError) as exc:
+            skipped.append((entry.gid, str(exc)))
+            continue
+        yield entry.gid, entry.graph
 
 
 @dataclass(frozen=True)
@@ -111,19 +126,8 @@ def verify(entries: Iterable[CorpusEntry], bound_names: tuple[str, ...] | None =
     """
     bounds_by_name(bound_names)  # fail fast on unknown names
     skipped: list[tuple[str, str]] = []
-    work: list[tuple[str, Graph, tuple[str, ...] | None, int]] = []
-    for entry in entries:
-        if entry.graph is None:
-            skipped.append((entry.gid, entry.error or "parse error"))
-            continue
-        g = entry.graph
-        if g.n > cap:
-            skipped.append((entry.gid, f"n={g.n} over solver cap {cap}"))
-            continue
-        if g.n < 2 or g.min_degree == 0:
-            skipped.append((entry.gid, "not solvable (too small or has isolates)"))
-            continue
-        work.append((entry.gid, g, bound_names, cap))
+    work = [(gid, g, bound_names, cap)
+            for gid, g in _solvable(entries, cap, skipped)]
     if jobs > 1 and len(work) > 1:
         with multiprocessing.Pool(jobs) as pool:
             reports = list(pool.imap(_verify_worker, work, chunksize=64))
@@ -146,27 +150,20 @@ class ConjectureScan:
 
 def scan_conjecture(entries: Iterable[CorpusEntry],
                     cap: int = DEFAULT_SOLVER_CAP) -> ConjectureScan:
-    """Flag every graph with igt > 2n/3 among graphs whose components all
-    have order at least 3 (others are skipped with a note)."""
+    """Flag every graph with igt > 2n/3 among solvable graphs whose
+    components all have order at least 3 (others are skipped)."""
     counterexamples = []
-    skipped = []
+    skipped: list[tuple[str, str]] = []
     checked = 0
-    for entry in entries:
-        if entry.graph is None:
-            skipped.append((entry.gid, entry.error or "parse error"))
-            continue
-        g = entry.graph
-        if g.n == 0 or any(comp.bit_count() < 3 for comp in g.components):
-            skipped.append((entry.gid, "has a component of order < 3"))
-            continue
-        if g.n > cap:
-            skipped.append((entry.gid, f"n={g.n} over solver cap {cap}"))
+    for gid, g in _solvable(entries, cap, skipped):
+        if any(comp.bit_count() < 3 for comp in g.components):
+            skipped.append((gid, "has a component of order < 3"))
             continue
         solver = Solver(g, cap)
         igt = solver.value(0, Player.DOMINATOR)
         checked += 1
         if 3 * igt > 2 * g.n:
-            counterexamples.append((entry.gid, g.n, igt))
+            counterexamples.append((gid, g.n, igt))
     return ConjectureScan(counterexamples=counterexamples, checked=checked,
                           skipped=skipped)
 
@@ -190,20 +187,13 @@ def cp_scan(entries: Iterable[CorpusEntry], cap: int = DEFAULT_SOLVER_CAP) -> Ga
     """Histogram of Staller-start minus Dominator-start values."""
     histogram: dict[int, int] = {}
     per_graph: list[tuple[str, int]] = []
-    skipped = []
-    for entry in entries:
-        if entry.graph is None:
-            skipped.append((entry.gid, entry.error or "parse error"))
-            continue
-        g = entry.graph
-        if g.n > cap or g.n < 2 or g.min_degree == 0:
-            skipped.append((entry.gid, "not solvable (size cap or isolates)"))
-            continue
+    skipped: list[tuple[str, str]] = []
+    for gid, g in _solvable(entries, cap, skipped):
         solver = Solver(g, cap)
         gap = (solver.value(0, Player.STALLER)
                - solver.value(0, Player.DOMINATOR))
         histogram[gap] = histogram.get(gap, 0) + 1
-        per_graph.append((entry.gid, gap))
+        per_graph.append((gid, gap))
     peak = max((abs(gap) for _, gap in per_graph), default=0)
     witnesses = [(gid, gap) for gid, gap in per_graph if abs(gap) == peak]
     return GapScan(histogram=histogram, witnesses=witnesses, skipped=skipped)
@@ -228,8 +218,9 @@ class Diameter2Summary:
 
 def diam2_sample(n: int, p: float, trials: int, seed: int,
                  cap: int = DEFAULT_SOLVER_CAP) -> Diameter2Summary:
-    """Sample G(n, p); solve every connected diameter-<=2 sample and check
-    both game values against 2n/3. Reports the diameter-2 fraction."""
+    """Sample G(n, p); check both game values of every sample that T36 (2n/3)
+    applies to. Reports the diameter-2 fraction; over ``cap`` it raises."""
+    (t36,) = bounds_by_name(("T36",))
     rng = random.Random(seed)
     diameter2 = connected = checked = 0
     violations = []
@@ -238,18 +229,18 @@ def diam2_sample(n: int, p: float, trials: int, seed: int,
         if not g.is_connected():
             continue
         connected += 1
-        diam = g.diameter
-        if diam == 2:
+        facts = GraphFacts.of(g)
+        if facts.diameter == 2:
             diameter2 += 1
-        if diam <= 2 and 3 <= g.n <= cap:
-            solver = Solver(g, cap)
-            igt = solver.value(0, Player.DOMINATOR)
-            igts = solver.value(0, Player.STALLER)
-            checked += 1
-            bound = Fraction(2 * g.n, 3)
-            if not (satisfies(igt, bound, False) and satisfies(igts, bound, False)):
-                violations.append(
-                    f"trial {trial}: n={g.n} igt={igt} igtS={igts} exceeds 2n/3")
+        if not t36.applies(facts):
+            continue
+        solver = Solver(g, cap)
+        igt = solver.value(0, Player.DOMINATOR)
+        igts = solver.value(0, Player.STALLER)
+        checked += 1
+        if not check_bound(t36, facts, igt, igts).passed:
+            violations.append(
+                f"trial {trial}: n={g.n} igt={igt} igtS={igts} exceeds 2n/3")
     return Diameter2Summary(trials=trials, diameter2_count=diameter2,
                             connected_count=connected, checked=checked,
                             violations=violations)

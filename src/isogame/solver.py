@@ -13,8 +13,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .engine import GameState, Player, marked_set, playable_from
-from .errors import GameStateError, GraphDomainError, SolverCapError
+from .engine import GameState, Player, check_game_domain, marked_set, playable_from
+from .errors import GameStateError, SolverCapError
 from .graph import Graph, iter_bits
 
 DEFAULT_SOLVER_CAP = 20
@@ -76,10 +76,8 @@ class StateCache:
 
 
 def check_solvable(g: Graph, cap: int) -> None:
-    if g.n < 2:
-        raise GraphDomainError(f"the game needs at least 2 vertices, got n={g.n}")
-    if g.min_degree == 0:
-        raise GraphDomainError("graphs with isolated vertices have no game value")
+    """The one solvability rule: the game's domain, and at most ``cap`` vertices."""
+    check_game_domain(g)
     if g.n > cap:
         raise SolverCapError(
             f"n={g.n} exceeds the solver cap {cap}; raise the cap "

@@ -52,6 +52,18 @@ def test_solve_edge_list_file(capsys, tmp_path):
     assert out.startswith("igt=2")
 
 
+@pytest.mark.parametrize("command", [("solve",),
+                                     ("simulate", "--dom", "greedy",
+                                      "--staller", "random")])
+def test_non_ascii_edge_list_is_format_error(capsys, tmp_path, command):
+    target = tmp_path / "bad.txt"
+    target.write_bytes(b"3\n0 1\n1 \xc3\xa92\n")
+    code, out, err = run(capsys, *command, "--edge-list", str(target))
+    assert code == 2
+    assert out == ""
+    assert "error: line 3: non-integer endpoint" in err
+
+
 def test_solve_requires_exactly_one_input(capsys):
     code, _, err = run(capsys, "solve")
     assert code == 2
@@ -116,6 +128,25 @@ def test_verify_non_ascii_line_warns_but_passes(capsys, tmp_path):
         assert f"skipped {corpus}:2:" in err, command
 
 
+def test_corpus_commands_print_the_same_skip_lines(capsys, tmp_path, monkeypatch):
+    from isogame.graph import Graph
+    monkeypatch.setenv("ISOGAME_SOLVER_CAP", "8")
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("zz@@@\n" + "".join(
+        emit_graph6(g) + "\n"
+        for g in (path(1), Graph(3, [(0, 1)]), path(9), cycle(5))))
+    errs = []
+    for command in ("verify", "scan-conjecture", "cp-scan"):
+        code, _, err = run(capsys, command, str(corpus))
+        assert code == 0, command
+        errs.append(err)
+    lines = errs[0].splitlines()
+    assert len(lines) == 4
+    for k, line in enumerate(lines, start=1):
+        assert line.startswith(f"warning: skipped {corpus}:{k}: ")
+    assert errs == [errs[0]] * 3
+
+
 def test_verify_stdin_non_ascii_line_warns_but_passes(capsys, monkeypatch):
     data = emit_graph6(path(5)).encode() + b"\n\xff\n"
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
@@ -155,6 +186,18 @@ def test_verify_csv_output(capsys, tmp_path):
     assert code == 0
     header = out_file.read_text().splitlines()[0]
     assert header == "id,n,m,delta,Delta,diam,igt,igtS,cp_gap,bound,value_num,value_den,strict,pass"
+
+
+def test_reports_accept_a_non_ascii_corpus_path(capsys, tmp_path):
+    corpus = tmp_path / "c\u00e9.g6"
+    corpus.write_text(emit_graph6(cycle(5)) + "\n")
+    csv_file, json_file = tmp_path / "r.csv", tmp_path / "r.json"
+    for out_file in (csv_file, json_file):
+        code, _, _ = run(capsys, "verify", str(corpus), "--out", str(out_file))
+        assert code == 0, out_file
+    assert f"{corpus}:1," in csv_file.read_text(encoding="utf-8")
+    assert json_file.read_bytes().isascii()
+    assert json.loads(json_file.read_text())["reports"][0]["id"] == f"{corpus}:1"
 
 
 def test_verify_missing_file_is_io_error(capsys):
@@ -210,6 +253,14 @@ def test_diam2_subcommand(capsys):
                        "--trials", "30", "--seed", "1")
     assert code == 0
     assert "fraction=" in out
+
+
+def test_diam2_over_the_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "diam2", "--n", "25", "--p", "0.9",
+                         "--trials", "3")
+    assert code == 2
+    assert out == ""
+    assert "error: n=25 exceeds the solver cap 20" in err
 
 
 def test_gen_edge_list_default(capsys):

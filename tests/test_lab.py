@@ -5,6 +5,7 @@ import io
 import json
 
 from isogame.families import complete, cycle, disjoint_union, path
+from isogame.graph import Graph
 from isogame.graph6 import emit_graph6
 from isogame.lab import (CSV_COLUMNS, cp_scan, diam2_sample,
                          entries_from_graphs, load_graph6_corpus,
@@ -69,7 +70,6 @@ def test_verify_respects_cap():
 
 def test_verify_skips_unsolvable_graphs():
     # a 1-vertex graph and a graph with an isolated vertex have no game value
-    from isogame.graph import Graph
     text = _corpus_text([path(1), Graph(3, [(0, 1)]), path(5)])
     result = verify(load_graph6_corpus(io.StringIO(text)))
     assert len(result.reports) == 1
@@ -81,6 +81,21 @@ def test_verify_bound_filter():
     entries = load_graph6_corpus(io.StringIO(_corpus_text([cycle(5)])))
     result = verify(entries, bound_names=("T41",))
     assert [c.name for c in result.reports[0].checks] == ["T41"]
+    assert verify(entries, bound_names=()).reports[0].checks == ()
+
+
+def test_corpus_commands_skip_each_entry_with_the_same_reason():
+    text = "zz@@@\n" + _corpus_text([path(1), Graph(3, [(0, 1)]), path(9),
+                                     path(5)])
+    entries = load_graph6_corpus(io.StringIO(text), source="t")
+    skipped = verify(entries, cap=8).skipped
+    assert [gid for gid, _ in skipped] == ["t:1", "t:2", "t:3", "t:4"]
+    assert skipped[0][1] == entries[0].error
+    assert "at least 2 vertices" in skipped[1][1]
+    assert "isolate-free" in skipped[2][1]
+    assert "solver cap 8" in skipped[3][1]
+    assert scan_conjecture(entries, cap=8).skipped == skipped
+    assert cp_scan(entries, cap=8).skipped == skipped
 
 
 def test_scan_conjecture_extremal_families_not_counterexamples():

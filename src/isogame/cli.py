@@ -58,14 +58,16 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
 def _corpus_entries(path: str):
     # Undecodable bytes become U+FFFD, which the graph6 parser rejects, so
     # such a line is skipped with a warning like any other malformed line.
+    # The stream stays open while the lab consumes the entries.
     if path == "-":
         stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="ascii", errors="replace")
         try:
-            return load_graph6_corpus(stdin, source="stdin")
+            yield from load_graph6_corpus(stdin, source="stdin")
         finally:
             stdin.detach()
+        return
     with open(path, encoding="ascii", errors="replace") as handle:
-        return load_graph6_corpus(handle, source=path)
+        yield from load_graph6_corpus(handle, source=path)
 
 
 def _warn_skipped(skipped: Sequence[tuple[str, str]]) -> None:
@@ -202,6 +204,10 @@ def _cmd_diam2(args) -> int:
           f"fraction={summary.fraction_diameter2:.3f} checked={summary.checked}")
     for line in summary.violations:
         print(f"VIOLATION: {line}")
+    if not summary.checked:
+        print("error: no sample met T36's hypotheses (connected, n >= 3, "
+              "diameter <= 2), so nothing was checked", file=sys.stderr)
+        return USAGE_ERROR
     return summary.exit_code
 
 
@@ -289,12 +295,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
         return args.handler(args)
-    except IsogameError as exc:
+    except (IsogameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except Exception as exc:  # exit 1 is reserved for bound failures
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

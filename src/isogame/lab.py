@@ -1,9 +1,11 @@
 """Corpus verification lab: solve graphs in bulk and check every bound.
 
-Corpora are graph6 files, one graph per line. A line that fails to parse or
-a graph that ``check_solvable`` rejects is skipped with its reason, never
-aborting a run; the exit-code contract cares only about bound violations and
-conjecture counterexamples. Reports keep input order regardless of workers.
+Corpora are graph6 files, one graph per line, streamed one graph at a time
+so memory follows the largest graph, not the corpus. A line that fails to
+parse or a graph that ``check_solvable`` rejects is skipped with its reason,
+never aborting a run; the exit-code contract cares only about bound
+violations and conjecture counterexamples. Reports keep input order
+regardless of workers.
 """
 
 from __future__ import annotations
@@ -36,16 +38,15 @@ class CorpusEntry:
     error: str | None = None
 
 
-def load_graph6_corpus(lines: Iterable[str], source: str = "corpus") -> list[CorpusEntry]:
-    """Parse a graph6 stream; parse errors become skippable entries."""
-    entries = []
+def load_graph6_corpus(lines: Iterable[str], source: str = "corpus") -> Iterator[CorpusEntry]:
+    """Lazily parse a graph6 stream, one entry per line; parse errors become
+    skippable entries."""
     for lineno, line in iter_graph6_lines(lines):
         gid = f"{source}:{lineno}"
         try:
-            entries.append(CorpusEntry(gid=gid, graph=parse_graph6(line)))
+            yield CorpusEntry(gid=gid, graph=parse_graph6(line))
         except GraphFormatError as exc:
-            entries.append(CorpusEntry(gid=gid, graph=None, error=str(exc)))
-    return entries
+            yield CorpusEntry(gid=gid, graph=None, error=str(exc))
 
 
 def _solvable(entries: Iterable[CorpusEntry], cap: int,
@@ -121,18 +122,18 @@ def verify(entries: Iterable[CorpusEntry], bound_names: tuple[str, ...] | None =
            jobs: int = 1, cap: int = DEFAULT_SOLVER_CAP) -> VerifyResult:
     """Evaluate every parsed graph against the (filtered) bound set.
 
-    Work is sharded across ``jobs`` processes; reports come back in input
-    order either way.
+    Entries are consumed one at a time; work is sharded across ``jobs``
+    processes, and reports come back in input order either way.
     """
     bounds_by_name(bound_names)  # fail fast on unknown names
     skipped: list[tuple[str, str]] = []
-    work = [(gid, g, bound_names, cap)
-            for gid, g in _solvable(entries, cap, skipped)]
-    if jobs > 1 and len(work) > 1:
+    work = ((gid, g, bound_names, cap)
+            for gid, g in _solvable(entries, cap, skipped))
+    if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             reports = list(pool.imap(_verify_worker, work, chunksize=64))
     else:
-        reports = [_verify_worker(item) for item in work]
+        reports = list(map(_verify_worker, work))
     return VerifyResult(reports=reports, skipped=skipped)
 
 
@@ -186,16 +187,18 @@ class GapScan:
 def cp_scan(entries: Iterable[CorpusEntry], cap: int = DEFAULT_SOLVER_CAP) -> GapScan:
     """Histogram of Staller-start minus Dominator-start values."""
     histogram: dict[int, int] = {}
-    per_graph: list[tuple[str, int]] = []
+    witnesses: list[tuple[str, int]] = []  # in input order, at the peak so far
     skipped: list[tuple[str, str]] = []
     for gid, g in _solvable(entries, cap, skipped):
         solver = Solver(g, cap)
         gap = (solver.value(0, Player.STALLER)
                - solver.value(0, Player.DOMINATOR))
         histogram[gap] = histogram.get(gap, 0) + 1
-        per_graph.append((gid, gap))
-    peak = max((abs(gap) for _, gap in per_graph), default=0)
-    witnesses = [(gid, gap) for gid, gap in per_graph if abs(gap) == peak]
+        peak = abs(witnesses[0][1]) if witnesses else 0
+        if abs(gap) > peak:
+            witnesses.clear()
+        if abs(gap) >= peak:
+            witnesses.append((gid, gap))
     return GapScan(histogram=histogram, witnesses=witnesses, skipped=skipped)
 
 
@@ -307,7 +310,3 @@ def write_csv_report(result: VerifyResult, stream: TextIO) -> None:
                 check.value.numerator, check.value.denominator,
                 int(check.strict), int(check.passed),
             ])
-
-
-def entries_from_graphs(pairs: Iterable[tuple[str, Graph]]) -> list[CorpusEntry]:
-    return [CorpusEntry(gid=gid, graph=g) for gid, g in pairs]

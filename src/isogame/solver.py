@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .engine import GameState, Player, check_game_domain, marked_set, playable_from
+from .engine import Player, check_game_domain, marked_set, playable_from
 from .errors import GameStateError, SolverCapError
 from .graph import Graph, iter_bits
 
@@ -183,12 +183,6 @@ def solve(g: Graph, first_mover: Player = Player.DOMINATOR,
     return Solver(g, cap).game_value(first_mover)
 
 
-def optimal_move(state: GameState, cap: int = DEFAULT_SOLVER_CAP) -> int:
-    """The mover's lowest-index optimal vertex in a non-terminal state."""
-    solver = Solver(state.graph, cap)
-    return solver.best_move(state.played, state.mover)
-
-
 def cp_gap(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> int:
     """Staller-start value minus Dominator-start value (signed)."""
     solver = Solver(g, cap)
@@ -203,6 +197,6 @@ def solve_both(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> tuple[int, int]:
 
 __all__ = [
     "DEFAULT_SOLVER_CAP", "SOLVER_CAP_ENV", "GameValue", "TableStats",
-    "StateCache", "Solver", "solve", "optimal_move",
+    "StateCache", "Solver", "solve",
     "cp_gap", "solve_both", "solver_cap_from_env",
 ]

@@ -230,11 +230,6 @@ class ExtremalStaller(Strategy):
         return self._component_optimal(state, comp)
 
 
-def staller_extremal_move(state: GameState, history: tuple[int, ...]) -> int:
-    """One-shot form of :class:`ExtremalStaller` for a single position."""
-    return ExtremalStaller().choose(state, history)
-
-
 # -- simulation and traces ---------------------------------------------------
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ CORPUS_PATH = DATA_DIR / "connected_3_8.g6"
 def corpus_entries():
     """All connected graphs on 3..8 vertices, parsed once per session."""
     with open(CORPUS_PATH, encoding="ascii") as handle:
-        entries = load_graph6_corpus(handle, source="connected_3_8")
+        entries = list(load_graph6_corpus(handle, source="connected_3_8"))
     assert all(entry.graph is not None for entry in entries)
     return entries
 

@@ -16,8 +16,7 @@ from isogame import oracles
 from isogame.engine import Player, is_total_isolating_set, new_game
 from isogame.families import complete, cycle, from_shorthand, path
 from isogame.graph import is_independent, is_packing, vertices_of
-from isogame.lab import (diam2_sample, entries_from_graphs, scan_conjecture,
-                         verify)
+from isogame.lab import diam2_sample, scan_conjecture, verify
 from isogame.solver import Solver, cp_gap, solve, solve_both
 from isogame.strategies import (BestResponseStrategy, ExtremalStaller,
                                 GreedyDominator, ModifiedGreedyDominator,

@@ -1,12 +1,14 @@
 """CLI surface: subcommands, graph inputs, exit codes."""
 
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
 from isogame.cli import main
-from isogame.families import cycle, path
+from isogame.families import complete, cycle, path
 from isogame.graph6 import emit_graph6
 
 
@@ -204,6 +206,44 @@ def test_verify_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/corpus.g6")
     assert code == 2
     assert "error" in err
+    assert run(capsys, "verify", "/nonexistent/corpus.g6", "--jobs", "2") \
+        == (2, "", err)
+
+
+@pytest.mark.parametrize("command", ["verify", "scan-conjecture", "cp-scan"])
+def test_corpus_commands_hold_one_parsed_graph_at_a_time(capsys, tmp_path,
+                                                         monkeypatch, command):
+    import isogame.lab as lab_module
+    graphs = [path(5), cycle(5), complete(4), cycle(6), path(6), complete(5)]
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("".join(emit_graph6(g) + "\n" for g in graphs))
+    parse = lab_module.parse_graph6
+    parsed, alive = [], []
+
+    def tracked_parse(line):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in parsed))
+        g = parse(line)
+        parsed.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(lab_module, "parse_graph6", tracked_parse)
+    code, _, _ = run(capsys, command, str(corpus))
+    assert code == 0
+    assert len(alive) == len(graphs)
+    assert max(alive) <= 1, alive
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    import isogame.cli as cli_module
+
+    def broken(name):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli_module, "from_shorthand", broken)
+    code, out, err = run(capsys, "solve", "P5")
+    assert (code, out) == (2, "")
+    assert err == "error: internal error: ZeroDivisionError: boom\n"
 
 
 def test_scan_conjecture_clean_corpus(capsys, tmp_path):
@@ -261,6 +301,16 @@ def test_diam2_over_the_cap_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "error: n=25 exceeds the solver cap 20" in err
+
+
+@pytest.mark.parametrize("argv", [("--n", "25", "--p", "0.05", "--trials", "3"),
+                                  ("--n", "10", "--p", "0", "--trials", "5")])
+def test_diam2_that_checks_nothing_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "diam2", *argv)
+    assert code == 2
+    assert out.endswith(" checked=0\n")
+    assert err.startswith("error: no sample met T36's hypotheses")
+    assert "nothing was checked" in err
 
 
 def test_gen_edge_list_default(capsys):

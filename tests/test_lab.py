@@ -7,10 +7,9 @@ import json
 from isogame.families import complete, cycle, disjoint_union, path
 from isogame.graph import Graph
 from isogame.graph6 import emit_graph6
-from isogame.lab import (CSV_COLUMNS, cp_scan, diam2_sample,
-                         entries_from_graphs, load_graph6_corpus,
-                         scan_conjecture, verify, write_csv_report,
-                         write_json_report)
+from isogame.lab import (CSV_COLUMNS, CorpusEntry, cp_scan, diam2_sample,
+                         load_graph6_corpus, scan_conjecture, verify,
+                         write_csv_report, write_json_report)
 
 
 def _corpus_text(graphs):
@@ -20,15 +19,15 @@ def _corpus_text(graphs):
 def test_load_corpus_skips_malformed_lines():
     text = _corpus_text([path(5), cycle(4)]) + "not graph6!!\n" \
         + _corpus_text([complete(4)])
-    entries = load_graph6_corpus(io.StringIO(text), source="t")
+    entries = list(load_graph6_corpus(io.StringIO(text), source="t"))
     assert len(entries) == 4
     assert [e.graph is None for e in entries] == [False, False, True, False]
     assert entries[2].error
 
 
 def test_verify_small_batch():
-    entries = load_graph6_corpus(
-        io.StringIO(_corpus_text([path(5), cycle(4), cycle(5), complete(4)])))
+    entries = list(load_graph6_corpus(
+        io.StringIO(_corpus_text([path(5), cycle(4), cycle(5), complete(4)]))))
     result = verify(entries)
     assert result.failures == 0
     assert result.exit_code == 0
@@ -53,7 +52,7 @@ def test_verify_empty_corpus():
 def test_verify_parallel_matches_serial():
     graphs = [path(5), cycle(4), cycle(5), cycle(6), complete(4), complete(5),
               path(6), path(7), cycle(7), complete(6)]
-    entries = load_graph6_corpus(io.StringIO(_corpus_text(graphs)))
+    entries = list(load_graph6_corpus(io.StringIO(_corpus_text(graphs))))
     serial = verify(entries)
     parallel = verify(entries, jobs=2)
     assert [r.gid for r in serial.reports] == [r.gid for r in parallel.reports]
@@ -78,7 +77,7 @@ def test_verify_skips_unsolvable_graphs():
 
 
 def test_verify_bound_filter():
-    entries = load_graph6_corpus(io.StringIO(_corpus_text([cycle(5)])))
+    entries = list(load_graph6_corpus(io.StringIO(_corpus_text([cycle(5)]))))
     result = verify(entries, bound_names=("T41",))
     assert [c.name for c in result.reports[0].checks] == ["T41"]
     assert verify(entries, bound_names=()).reports[0].checks == ()
@@ -87,7 +86,7 @@ def test_verify_bound_filter():
 def test_corpus_commands_skip_each_entry_with_the_same_reason():
     text = "zz@@@\n" + _corpus_text([path(1), Graph(3, [(0, 1)]), path(9),
                                      path(5)])
-    entries = load_graph6_corpus(io.StringIO(text), source="t")
+    entries = list(load_graph6_corpus(io.StringIO(text), source="t"))
     skipped = verify(entries, cap=8).skipped
     assert [gid for gid, _ in skipped] == ["t:1", "t:2", "t:3", "t:4"]
     assert skipped[0][1] == entries[0].error
@@ -101,14 +100,14 @@ def test_corpus_commands_skip_each_entry_with_the_same_reason():
 def test_scan_conjecture_extremal_families_not_counterexamples():
     g1 = disjoint_union([path(3), cycle(3)])
     g2 = disjoint_union([path(6), cycle(6)])
-    scan = scan_conjecture(entries_from_graphs([("a", g1), ("b", g2)]))
+    scan = scan_conjecture([CorpusEntry("a", g1), CorpusEntry("b", g2)])
     assert scan.counterexamples == []
     assert scan.checked == 2
 
 
 def test_scan_conjecture_skips_small_components():
     g = disjoint_union([complete(2), cycle(4)])
-    scan = scan_conjecture(entries_from_graphs([("k2c4", g)]))
+    scan = scan_conjecture([CorpusEntry("k2c4", g)])
     assert scan.checked == 0
     assert scan.skipped and "order < 3" in scan.skipped[0][1]
 
@@ -116,13 +115,37 @@ def test_scan_conjecture_skips_small_components():
 def test_cp_scan_histogram():
     graphs = [("p5", path(5)), ("k3", complete(3)), ("k5", complete(5)),
               ("c5", cycle(5))]
-    scan = cp_scan(entries_from_graphs(graphs))
+    scan = cp_scan([CorpusEntry(gid, g) for gid, g in graphs])
     assert scan.total == 4
     assert scan.histogram[2] == 1    # the path
     assert scan.histogram[0] == 2    # the complete graphs
     assert scan.histogram[-1] == 1   # the 5-cycle
     assert scan.max_abs_gap == 2
     assert [gid for gid, _ in scan.witnesses] == ["p5"]
+
+
+def test_cp_scan_witnesses_follow_a_growing_peak_in_input_order():
+    # |gap| runs 0, 1, 1, 2, 0, 2: the peak grows twice mid-corpus
+    graphs = [("k3", complete(3)), ("c5", cycle(5)), ("c5b", cycle(5)),
+              ("p5", path(5)), ("k4", complete(4)), ("p5b", path(5))]
+    scan = cp_scan(CorpusEntry(gid, g) for gid, g in graphs)
+    assert scan.witnesses == [("p5", 2), ("p5b", 2)]
+    flat = cp_scan([CorpusEntry("k3", complete(3)), CorpusEntry("k4", complete(4))])
+    assert flat.witnesses == [("k3", 0), ("k4", 0)]
+
+
+def test_load_corpus_reads_one_line_per_entry():
+    read = []
+
+    def lines():
+        for text in (emit_graph6(path(5)), "bad", emit_graph6(cycle(5))):
+            read.append(text)
+            yield text + "\n"
+
+    entries = load_graph6_corpus(lines(), source="t")
+    assert read == []
+    assert next(entries).gid == "t:1" and len(read) == 1
+    assert next(entries).error and len(read) == 2
 
 
 def test_diam2_sampling_checks_the_two_thirds_bound():

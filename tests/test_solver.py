@@ -8,13 +8,12 @@ import weakref
 import pytest
 
 from isogame import oracles
-from isogame.engine import GameState, Player, new_game, replay
+from isogame.engine import Player, new_game, replay
 from isogame.errors import GameStateError, GraphDomainError, SolverCapError
 from isogame.families import complete, cycle, path, random_connected
 from isogame import lab, strategies
-from isogame.solver import (_EXACT, _LOWER, _UPPER, Solver, cp_gap,
-                            optimal_move, solve, solve_both,
-                            solver_cap_from_env)
+from isogame.solver import (_EXACT, _LOWER, _UPPER, Solver, cp_gap, solve,
+                            solve_both, solver_cap_from_env)
 
 P5 = path(5)
 
@@ -40,12 +39,14 @@ def test_c6_dominator_start_is_4():
 
 
 def test_optimal_move_examples():
-    assert optimal_move(new_game(P5)) == 2          # the center
+    solver = Solver(P5)
+    assert solver.best_move(0, Player.DOMINATOR) == 2       # the center
     after_center = new_game(P5).play(2)
-    assert optimal_move(after_center) == 1          # both neighbors work; lowest index
+    # both neighbors work; lowest index
+    assert solver.best_move(after_center.played, after_center.mover) == 1
     terminal = replay(P5, [2, 1])
     with pytest.raises(GameStateError):
-        optimal_move(terminal)
+        solver.best_move(terminal.played, terminal.mover)
 
 
 def test_cp_gap_examples():
@@ -148,6 +149,5 @@ def test_stats_populated():
 
 
 def test_optimal_move_respects_staller_parity():
-    state = GameState(cycle(6), 0, Player.STALLER)
-    v = optimal_move(state)
+    v = Solver(cycle(6)).best_move(0, Player.STALLER)
     assert 0 <= v < 6

@@ -17,7 +17,7 @@ from isogame.strategies import (STAGE_BURST, STAGE_TRICKLE,
                                 OptimalStrategy, RandomStrategy,
                                 best_response_value, greedy_move,
                                 modified_greedy_move, simulate,
-                                stage_snapshot, staller_extremal_move)
+                                stage_snapshot)
 
 from conftest import random_isolate_free
 
@@ -65,13 +65,13 @@ def test_modified_greedy_takes_leaf_when_forced():
 
 def test_extremal_c6_distance_three():
     state = new_game(cycle(6)).play(0)
-    assert staller_extremal_move(state, (0,)) == 3
+    assert ExtremalStaller().choose(state, (0,)) == 3
 
 
 def test_extremal_p3_component_marks_all():
     g = from_shorthand("P3+C6")
     state = new_game(g).play(1)  # center of the P3 block
-    reply = staller_extremal_move(state, (1,))
+    reply = ExtremalStaller().choose(state, (1,))
     assert reply in (0, 2)
     after = state.play(reply)
     assert after.unmarked() & vertex_set([0, 1, 2]) == 0
@@ -80,13 +80,13 @@ def test_extremal_p3_component_marks_all():
 def test_extremal_rejects_unsupported_family():
     state = new_game(cycle(4)).play(0)
     with pytest.raises(StrategyDomainError):
-        staller_extremal_move(state, (0,))
+        ExtremalStaller().choose(state, (0,))
 
 
 def test_extremal_rejects_wrong_turn():
     state = new_game(cycle(6))
     with pytest.raises(StrategyDomainError):
-        staller_extremal_move(state, ())
+        ExtremalStaller().choose(state, ())
 
 
 def test_extremal_component_move_counts():

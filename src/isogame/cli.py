@@ -20,7 +20,7 @@ from .graph import Graph
 from .graph6 import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
 from .lab import (cp_scan, diam2_sample, load_graph6_corpus, scan_conjecture,
                   verify, write_csv_report, write_json_report)
-from .solver import Solver, solver_cap_from_env
+from .solver import solve, solver_cap_from_env
 from .strategies import (BestResponseStrategy, ExtremalStaller,
                          GreedyDominator, ModifiedGreedyDominator,
                          OptimalStrategy, RandomStrategy, simulate)
@@ -124,7 +124,7 @@ def _cmd_solve(args) -> int:
     g = _load_graph(args)
     cap = solver_cap_from_env()
     first = Player.STALLER if args.staller_start else Player.DOMINATOR
-    value = Solver(g, cap).game_value(first)
+    value = solve(g, first, cap)
     label = "igtS" if args.staller_start else "igt"
     print(f"{label}={value.total_moves} pv={_pv_text(g, value.principal_variation)}")
     return 0
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="random-graph sampling of the diameter-2 bound")
     p_diam2.add_argument("--n", type=int, required=True)
     p_diam2.add_argument("--p", type=_probability, required=True)
-    p_diam2.add_argument("--trials", type=_int_at_least(0), required=True)
+    p_diam2.add_argument("--trials", type=_int_at_least(1), required=True)
     p_diam2.add_argument("--seed", type=int, default=0)
     p_diam2.set_defaults(handler=_cmd_diam2)
 

@@ -24,7 +24,8 @@ from .errors import GraphDomainError, GraphFormatError, SolverCapError
 from .families import random_graph
 from .graph import Graph
 from .graph6 import iter_graph6_lines, parse_graph6
-from .solver import DEFAULT_SOLVER_CAP, Solver, check_solvable
+from .solver import (DEFAULT_SOLVER_CAP, Solver, check_solvable, cp_gap,
+                     solve_both)
 
 REPORT_SCHEMA = 1
 CSV_COLUMNS = ["id", "n", "m", "delta", "Delta", "diam", "igt", "igtS",
@@ -89,9 +90,7 @@ class BoundReport:
 
 def evaluate_graph(gid: str, g: Graph, bound_names: tuple[str, ...] | None = None,
                    cap: int = DEFAULT_SOLVER_CAP) -> BoundReport:
-    solver = Solver(g, cap)
-    igt = solver.value(0, Player.DOMINATOR)
-    igts = solver.value(0, Player.STALLER)
+    igt, igts = solve_both(g, cap)
     facts = GraphFacts.of(g)
     checks = check_all(facts, igt, igts, bounds_by_name(bound_names))
     return BoundReport(gid=gid, n=g.n, m=g.m, min_degree=g.min_degree,
@@ -160,8 +159,7 @@ def scan_conjecture(entries: Iterable[CorpusEntry],
         if any(comp.bit_count() < 3 for comp in g.components):
             skipped.append((gid, "has a component of order < 3"))
             continue
-        solver = Solver(g, cap)
-        igt = solver.value(0, Player.DOMINATOR)
+        igt = Solver(g, cap).value(0, Player.DOMINATOR)
         checked += 1
         if 3 * igt > 2 * g.n:
             counterexamples.append((gid, g.n, igt))
@@ -190,9 +188,7 @@ def cp_scan(entries: Iterable[CorpusEntry], cap: int = DEFAULT_SOLVER_CAP) -> Ga
     witnesses: list[tuple[str, int]] = []  # in input order, at the peak so far
     skipped: list[tuple[str, str]] = []
     for gid, g in _solvable(entries, cap, skipped):
-        solver = Solver(g, cap)
-        gap = (solver.value(0, Player.STALLER)
-               - solver.value(0, Player.DOMINATOR))
+        gap = cp_gap(g, cap)
         histogram[gap] = histogram.get(gap, 0) + 1
         peak = abs(witnesses[0][1]) if witnesses else 0
         if abs(gap) > peak:
@@ -237,9 +233,7 @@ def diam2_sample(n: int, p: float, trials: int, seed: int,
             diameter2 += 1
         if not t36.applies(facts):
             continue
-        solver = Solver(g, cap)
-        igt = solver.value(0, Player.DOMINATOR)
-        igts = solver.value(0, Player.STALLER)
+        igt, igts = solve_both(g, cap)
         checked += 1
         if not check_bound(t36, facts, igt, igts).passed:
             violations.append(

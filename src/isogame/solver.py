@@ -76,12 +76,19 @@ class StateCache:
 
 
 def check_solvable(g: Graph, cap: int) -> None:
-    """The one solvability rule: the game's domain, and at most ``cap`` vertices."""
+    """The one solvability rule: the game's domain, at most ``cap`` vertices,
+    and at most half the recursion limit, since the searches recurse once per
+    move and a game has at most n moves (the other half is for the callers)."""
     check_game_domain(g)
     if g.n > cap:
         raise SolverCapError(
             f"n={g.n} exceeds the solver cap {cap}; raise the cap "
             f"(or set {SOLVER_CAP_ENV}) to solve it anyway")
+    limit = sys.getrecursionlimit()
+    if g.n > limit // 2:
+        raise SolverCapError(
+            f"n={g.n} exceeds {limit // 2}, half of Python's recursion limit "
+            f"{limit}; the search recurses once per move")
 
 
 class Solver:

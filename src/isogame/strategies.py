@@ -32,6 +32,11 @@ class Strategy:
     ``needs_last_move`` marks strategies whose choice depends on the
     opponent's previous move (they read ``history[-1]``); everything else
     is a pure function of the played set.
+
+    A strategy that searches defines ``_new_search(g)`` and reaches the
+    search through ``_search_for``, which keeps it for the graph last played
+    on and rebuilds it when another graph arrives, so a strategy holds at
+    most one graph alive.
     """
 
     name = "strategy"
@@ -39,9 +44,15 @@ class Strategy:
 
     def __init__(self):
         self._pending_note: str | None = None
+        self._search: tuple[Graph, object] | None = None
 
     def choose(self, state: GameState, history: tuple[int, ...]) -> int:
         raise NotImplementedError
+
+    def _search_for(self, g: Graph):
+        if self._search is None or self._search[0] is not g:
+            self._search = (g, self._new_search(g))
+        return self._search[1]
 
     def _flag(self, note: str) -> None:
         self._pending_note = note
@@ -124,16 +135,12 @@ class OptimalStrategy(Strategy):
     def __init__(self, cap: int = DEFAULT_SOLVER_CAP):
         super().__init__()
         self.cap = cap
-        self._solvers: dict[Graph, Solver] = {}
 
-    def _solver(self, g: Graph) -> Solver:
-        solver = self._solvers.get(g)
-        if solver is None:
-            solver = self._solvers[g] = Solver(g, self.cap)
-        return solver
+    def _new_search(self, g):
+        return Solver(g, self.cap)
 
     def choose(self, state, history):
-        return self._solver(state.graph).best_move(state.played, state.mover)
+        return self._search_for(state.graph).best_move(state.played, state.mover)
 
 
 # -- extremal Staller --------------------------------------------------------
@@ -175,34 +182,26 @@ class ExtremalStaller(Strategy):
     def __init__(self, cap: int = DEFAULT_SOLVER_CAP):
         super().__init__()
         self.cap = cap
-        self._kinds: dict[Graph, tuple[str, ...]] = {}
-        self._component_solvers: dict[tuple[Graph, int], tuple[Solver, tuple[int, ...]]] = {}
-        self._global_solvers: dict[Graph, Solver] = {}
 
-    def _component_kinds(self, g: Graph) -> tuple[str, ...]:
-        kinds = self._kinds.get(g)
-        if kinds is None:
-            kinds = tuple(_component_kind(g, comp) for comp in g.components)
-            self._kinds[g] = kinds
-        return kinds
+    def _new_search(self, g):
+        # Component kinds, and a solver per vertex mask, built when first asked.
+        return tuple(_component_kind(g, comp) for comp in g.components), {}
 
-    def _component_solver(self, g: Graph, comp: int) -> tuple[Solver, tuple[int, ...]]:
-        entry = self._component_solvers.get((g, comp))
+    def _optimal_within(self, state: GameState, members: int) -> int:
+        """Staller's optimal move in the subgraph induced on ``members``."""
+        solvers = self._search_for(state.graph)[1]
+        entry = solvers.get(members)
         if entry is None:
-            sub, originals = induced_subgraph(g, comp)
-            entry = self._component_solvers[(g, comp)] = (Solver(sub, self.cap), originals)
-        return entry
-
-    def _component_optimal(self, state: GameState, comp: int) -> int:
-        solver, originals = self._component_solver(state.graph, comp)
+            sub, originals = induced_subgraph(state.graph, members)
+            entry = solvers[members] = (Solver(sub, self.cap), originals)
+        solver, originals = entry
         local_played = vertex_set(originals.index(v)
-                                  for v in vertices_of(state.played & comp))
-        local = solver.best_move(local_played, Player.STALLER)
-        return originals[local]
+                                  for v in vertices_of(state.played & members))
+        return originals[solver.best_move(local_played, Player.STALLER)]
 
     def choose(self, state, history):
         g = state.graph
-        kinds = self._component_kinds(g)
+        kinds = self._search_for(g)[0]
         if state.mover is not Player.STALLER:
             raise StrategyDomainError("the extremal strategy plays Staller only")
         if not history:
@@ -215,10 +214,7 @@ class ExtremalStaller(Strategy):
         in_component = state.playable() & comp
         if in_component == 0:
             self._flag("component finished; fell back to the global optimal move")
-            solver = self._global_solvers.get(g)
-            if solver is None:
-                solver = self._global_solvers[g] = Solver(g, self.cap)
-            return solver.best_move(state.played, Player.STALLER)
+            return self._optimal_within(state, g.full_mask)
         kind = kinds[comp_index]
         if kind in ("P3", "C3"):
             return _first_max(_mark_gains(g, state.played, comp))
@@ -227,7 +223,7 @@ class ExtremalStaller(Strategy):
                             if g.distance(last, v) == 3)
             if in_component >> antipode & 1:
                 return antipode
-        return self._component_optimal(state, comp)
+        return self._optimal_within(state, comp)
 
 
 # -- simulation and traces ---------------------------------------------------
@@ -442,15 +438,13 @@ class BestResponseStrategy(Strategy):
         self.opponent = opponent
         self.role = role
         self.cap = cap
-        self._searches: dict[Graph, ForcedGameSolver] = {}
+
+    def _new_search(self, g):
+        return ForcedGameSolver(g, self.opponent, self.role.other, self.cap)
 
     def choose(self, state, history):
         if state.mover is not self.role:
             raise StrategyDomainError(f"best-response built for {self.role}")
-        search = self._searches.get(state.graph)
-        if search is None:
-            search = ForcedGameSolver(state.graph, self.opponent,
-                                      self.role.other, self.cap)
-            self._searches[state.graph] = search
         last = history[-1] if history else None
-        return search.free_side_move(state.played, state.mover, last)
+        return self._search_for(state.graph).free_side_move(
+            state.played, state.mover, last)

@@ -172,6 +172,7 @@ def test_verify_unknown_bound_is_usage_error(capsys, tmp_path):
     ("diam2", "--n", "8", "--p", "-0.1", "--trials", "3"),
     ("verify", "unused.g6", "--jobs", "0"),
     ("verify", "unused.g6", "--jobs", "-3"),
+    ("diam2", "--n", "8", "--p", "0.5", "--trials", "0"),
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -244,6 +245,14 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "solve", "P5")
     assert (code, out) == (2, "")
     assert err == "error: internal error: ZeroDivisionError: boom\n"
+
+
+def test_graph_deeper_than_the_recursion_limit_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("ISOGAME_SOLVER_CAP", "5000")
+    code, out, err = run(capsys, "solve", "P1200")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: n=1200 ")
+    assert "recursion limit" in err and "internal error" not in err
 
 
 def test_scan_conjecture_clean_corpus(capsys, tmp_path):

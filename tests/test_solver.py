@@ -10,7 +10,8 @@ import pytest
 from isogame import oracles
 from isogame.engine import Player, new_game, replay
 from isogame.errors import GameStateError, GraphDomainError, SolverCapError
-from isogame.families import complete, cycle, path, random_connected
+from isogame.families import (complete, cycle, from_shorthand, path,
+                              random_connected)
 from isogame import lab, strategies
 from isogame.solver import (_EXACT, _LOWER, _UPPER, Solver, cp_gap, solve,
                             solve_both, solver_cap_from_env)
@@ -108,7 +109,8 @@ def test_solve_both_shares_one_table():
 
 
 def test_solving_does_not_pin_the_graph():
-    """Marks live only as long as the solve or simulation that made them."""
+    """Marks live only as long as the solve or simulation that made them,
+    and a strategy kept alive holds only the graph it last played on."""
     g = random_connected(8, 0.4, 2, seed=11)
     solve_both(g)
     lab.evaluate_graph("g", g)
@@ -116,10 +118,17 @@ def test_solving_does_not_pin_the_graph():
                         strategies.OptimalStrategy())
     strategies.best_response_value(g, strategies.GreedyDominator(),
                                    Player.DOMINATOR)
-    ref = weakref.ref(g)
-    del g
+    union = from_shorthand("P6+P3")
+    stallers = (strategies.OptimalStrategy(), strategies.ExtremalStaller(),
+                strategies.BestResponseStrategy(strategies.GreedyDominator(),
+                                                Player.STALLER))
+    for graph in (union, from_shorthand("C6+P3")):
+        for staller in stallers:
+            strategies.simulate(graph, strategies.GreedyDominator(), staller)
+    refs = weakref.ref(g), weakref.ref(union)
+    del g, union
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_domain_and_capacity_errors():
@@ -128,6 +137,15 @@ def test_domain_and_capacity_errors():
         solve(Graph(3, [(0, 1)]))  # isolated vertex
     with pytest.raises(SolverCapError):
         solve(path(10), cap=8)
+
+
+def test_graph_deeper_than_the_recursion_limit_is_refused():
+    """A game has up to n moves and the search recurses once per move."""
+    with pytest.raises(SolverCapError, match="recursion limit"):
+        Solver(path(1200), cap=5000)
+    with pytest.raises(SolverCapError, match="recursion limit"):
+        strategies.ForcedGameSolver(path(1200), strategies.GreedyDominator(),
+                                    Player.DOMINATOR, cap=5000)
 
 
 def test_cap_env_override(monkeypatch):

@@ -10,7 +10,7 @@ from isogame.errors import (GameStateError, SnapshotDomainError,
 from isogame.families import (complete, cycle, disjoint_union, from_shorthand,
                               path, random_connected)
 from isogame.graph import Graph, is_independent, is_packing, vertex_set
-from isogame.solver import StateCache, solve
+from isogame.solver import Solver, StateCache, solve
 from isogame.strategies import (STAGE_BURST, STAGE_TRICKLE,
                                 BestResponseStrategy, ExtremalStaller,
                                 GreedyDominator, ModifiedGreedyDominator,
@@ -101,6 +101,18 @@ def test_extremal_component_move_counts():
             hosted = sum(1 for record in trace.moves
                          if comp >> record.vertex & 1)
             assert hosted == (2 if kind in ("P3", "C3") else 4), (kind, trace)
+
+
+def test_extremal_falls_back_to_the_global_optimal_move():
+    g = from_shorthand("P6+P3")
+    trace = simulate(g, RandomStrategy(262576), ExtremalStaller())
+    fallbacks = [i for i, record in enumerate(trace.moves) if record.note ==
+                 "component finished; fell back to the global optimal move"]
+    assert len(fallbacks) == 1
+    (i,) = fallbacks
+    assert trace.moves[i].vertex == Solver(g).best_move(trace.played_before(i),
+                                                        Player.STALLER)
+    assert replay(g, [record.vertex for record in trace.moves]).is_terminal()
 
 
 # -- simulation ----------------------------------------------------------------

@@ -20,7 +20,7 @@ from .graph import Graph
 from .graph6 import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
 from .lab import (cp_scan, diam2_sample, load_graph6_corpus, scan_conjecture,
                   verify, write_csv_report, write_json_report)
-from .solver import solve, solver_cap_from_env
+from .solver import solve
 from .strategies import (BestResponseStrategy, ExtremalStaller,
                          GreedyDominator, ModifiedGreedyDominator,
                          OptimalStrategy, RandomStrategy, simulate)
@@ -91,27 +91,27 @@ def _probability(text: str) -> float:
     return value
 
 
-def _build_strategy(name: str, role: Player, seed: int, cap: int,
+def _build_strategy(name: str, role: Player, seed: int,
                     opponent_name: str | None):
     if name == "greedy":
         return GreedyDominator()
     if name == "modified-greedy":
         return ModifiedGreedyDominator()
     if name == "optimal":
-        return OptimalStrategy(cap)
+        return OptimalStrategy()
     if name == "random":
         return RandomStrategy(seed)
     if name == "extremal":
         if role is not Player.STALLER:
             raise IsogameError("the extremal strategy plays Staller only")
-        return ExtremalStaller(cap)
+        return ExtremalStaller()
     if name == "best-response":
         if opponent_name in (None, "best-response"):
             raise IsogameError(
                 "best-response needs a concrete opponent strategy on the "
                 "other side (use `solve` for optimal-vs-optimal)")
-        opponent = _build_strategy(opponent_name, role.other, seed, cap, None)
-        return BestResponseStrategy(opponent, role, cap)
+        opponent = _build_strategy(opponent_name, role.other, seed, None)
+        return BestResponseStrategy(opponent, role)
     raise IsogameError(
         f"unknown strategy {name!r}; valid: {', '.join(STRATEGY_NAMES)}")
 
@@ -122,9 +122,8 @@ def _pv_text(g: Graph, variation: Sequence[int]) -> str:
 
 def _cmd_solve(args) -> int:
     g = _load_graph(args)
-    cap = solver_cap_from_env()
     first = Player.STALLER if args.staller_start else Player.DOMINATOR
-    value = solve(g, first, cap)
+    value = solve(g, first)
     label = "igtS" if args.staller_start else "igt"
     print(f"{label}={value.total_moves} pv={_pv_text(g, value.principal_variation)}")
     return 0
@@ -132,10 +131,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_simulate(args) -> int:
     g = _load_graph(args)
-    cap = solver_cap_from_env()
-    dominator = _build_strategy(args.dom, Player.DOMINATOR, args.seed, cap,
+    dominator = _build_strategy(args.dom, Player.DOMINATOR, args.seed,
                                 opponent_name=args.staller)
-    staller = _build_strategy(args.staller, Player.STALLER, args.seed, cap,
+    staller = _build_strategy(args.staller, Player.STALLER, args.seed,
                               opponent_name=args.dom)
     first = Player.STALLER if args.staller_start else Player.DOMINATOR
     trace = simulate(g, dominator, staller, first)
@@ -150,8 +148,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     entries = _corpus_entries(args.corpus)
     names = tuple(args.bounds) if args.bounds else None
-    result = verify(entries, bound_names=names, jobs=args.jobs,
-                    cap=solver_cap_from_env())
+    result = verify(entries, bound_names=names, jobs=args.jobs)
     for report in result.reports:
         bad = [c.name for c in report.checks if c.applicable and not c.passed]
         status = "FAIL " + ",".join(bad) if bad else "ok"
@@ -170,7 +167,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scan_conjecture(args) -> int:
     entries = _corpus_entries(args.corpus)
-    scan = scan_conjecture(entries, cap=solver_cap_from_env())
+    scan = scan_conjecture(entries)
     _warn_skipped(scan.skipped)
     if scan.counterexamples:
         print("!" * 72)
@@ -187,7 +184,7 @@ def _cmd_scan_conjecture(args) -> int:
 
 def _cmd_cp_scan(args) -> int:
     entries = _corpus_entries(args.corpus)
-    scan = cp_scan(entries, cap=solver_cap_from_env())
+    scan = cp_scan(entries)
     _warn_skipped(scan.skipped)
     for gap in sorted(scan.histogram):
         print(f"gap {gap:+d}: {scan.histogram[gap]} graphs")
@@ -197,8 +194,7 @@ def _cmd_cp_scan(args) -> int:
 
 
 def _cmd_diam2(args) -> int:
-    summary = diam2_sample(args.n, args.p, args.trials, args.seed,
-                           cap=solver_cap_from_env())
+    summary = diam2_sample(args.n, args.p, args.trials, args.seed)
     print(f"trials={summary.trials} connected={summary.connected_count} "
           f"diameter2={summary.diameter2_count} "
           f"fraction={summary.fraction_diameter2:.3f} checked={summary.checked}")

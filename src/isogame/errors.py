@@ -48,7 +48,7 @@ class UnknownBoundError(IsogameError, KeyError):
 
 
 class SolverCapError(IsogameError, ValueError):
-    """Graph order exceeds the solver cap; raise the cap to proceed."""
+    """Graph order exceeds the solver cap, or the cap setting is malformed."""
 
 
 class StrategyDomainError(IsogameError, ValueError):

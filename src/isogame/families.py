@@ -59,8 +59,7 @@ def random_connected(n: int, p: float, min_degree: int = 1,
         raise GraphDomainError(f"edge probability must be in (0, 1), got {p}")
     rng = random.Random(seed)
     for _ in range(RANDOM_RETRY_CAP):
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-        g = Graph(n, edges)
+        g = random_graph(n, p, rng)
         if g.is_connected() and g.min_degree >= min_degree:
             return g
     raise GenerationError(

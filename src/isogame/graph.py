@@ -164,13 +164,6 @@ class Graph:
     def is_connected(self) -> bool:
         return len(self.components) == 1
 
-    def component_of(self, v: int) -> int:
-        self._check_vertex(v)
-        for comp in self.components:
-            if comp >> v & 1:
-                return comp
-        raise AssertionError("component partition must cover every vertex")
-
     @cached_property
     def distances(self) -> tuple[tuple[int, ...], ...]:
         """All-pairs BFS distances; unreachable pairs get -1."""

@@ -24,8 +24,8 @@ from .errors import GraphDomainError, GraphFormatError, SolverCapError
 from .families import random_graph
 from .graph import Graph
 from .graph6 import iter_graph6_lines, parse_graph6
-from .solver import (DEFAULT_SOLVER_CAP, Solver, check_solvable, cp_gap,
-                     solve_both)
+from .solver import (Solver, check_solvable, cp_gap, solve_both,
+                     solver_cap_from_env)
 
 REPORT_SCHEMA = 1
 CSV_COLUMNS = ["id", "n", "m", "delta", "Delta", "diam", "igt", "igtS",
@@ -50,16 +50,19 @@ def load_graph6_corpus(lines: Iterable[str], source: str = "corpus") -> Iterator
             yield CorpusEntry(gid=gid, graph=None, error=str(exc))
 
 
-def _solvable(entries: Iterable[CorpusEntry], cap: int,
+def _solvable(entries: Iterable[CorpusEntry],
               skipped: list[tuple[str, str]]) -> Iterator[tuple[str, Graph]]:
     """Yield ``(gid, graph)`` for each entry that ``check_solvable`` accepts;
     append ``(gid, reason)`` to ``skipped`` for every other one."""
+    # A malformed cap setting is a usage error, not one skip per graph, so
+    # it raises before the first entry (on an empty corpus too).
+    solver_cap_from_env()
     for entry in entries:
         if entry.graph is None:
             skipped.append((entry.gid, entry.error))
             continue
         try:
-            check_solvable(entry.graph, cap)
+            check_solvable(entry.graph)
         except (GraphDomainError, SolverCapError) as exc:
             skipped.append((entry.gid, str(exc)))
             continue
@@ -88,9 +91,9 @@ class BoundReport:
         return any(c.applicable and not c.passed for c in self.checks)
 
 
-def evaluate_graph(gid: str, g: Graph, bound_names: tuple[str, ...] | None = None,
-                   cap: int = DEFAULT_SOLVER_CAP) -> BoundReport:
-    igt, igts = solve_both(g, cap)
+def evaluate_graph(gid: str, g: Graph,
+                   bound_names: tuple[str, ...] | None = None) -> BoundReport:
+    igt, igts = solve_both(g)
     facts = GraphFacts.of(g)
     checks = check_all(facts, igt, igts, bounds_by_name(bound_names))
     return BoundReport(gid=gid, n=g.n, m=g.m, min_degree=g.min_degree,
@@ -99,8 +102,7 @@ def evaluate_graph(gid: str, g: Graph, bound_names: tuple[str, ...] | None = Non
 
 
 def _verify_worker(args) -> BoundReport:
-    gid, graph, names, cap = args
-    return evaluate_graph(gid, graph, names, cap)
+    return evaluate_graph(*args)
 
 
 @dataclass
@@ -118,7 +120,7 @@ class VerifyResult:
 
 
 def verify(entries: Iterable[CorpusEntry], bound_names: tuple[str, ...] | None = None,
-           jobs: int = 1, cap: int = DEFAULT_SOLVER_CAP) -> VerifyResult:
+           jobs: int = 1) -> VerifyResult:
     """Evaluate every parsed graph against the (filtered) bound set.
 
     Entries are consumed one at a time; work is sharded across ``jobs``
@@ -126,8 +128,7 @@ def verify(entries: Iterable[CorpusEntry], bound_names: tuple[str, ...] | None =
     """
     bounds_by_name(bound_names)  # fail fast on unknown names
     skipped: list[tuple[str, str]] = []
-    work = ((gid, g, bound_names, cap)
-            for gid, g in _solvable(entries, cap, skipped))
+    work = ((gid, g, bound_names) for gid, g in _solvable(entries, skipped))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             reports = list(pool.imap(_verify_worker, work, chunksize=64))
@@ -148,18 +149,17 @@ class ConjectureScan:
         return 1 if self.counterexamples else 0
 
 
-def scan_conjecture(entries: Iterable[CorpusEntry],
-                    cap: int = DEFAULT_SOLVER_CAP) -> ConjectureScan:
+def scan_conjecture(entries: Iterable[CorpusEntry]) -> ConjectureScan:
     """Flag every graph with igt > 2n/3 among solvable graphs whose
     components all have order at least 3 (others are skipped)."""
     counterexamples = []
     skipped: list[tuple[str, str]] = []
     checked = 0
-    for gid, g in _solvable(entries, cap, skipped):
+    for gid, g in _solvable(entries, skipped):
         if any(comp.bit_count() < 3 for comp in g.components):
             skipped.append((gid, "has a component of order < 3"))
             continue
-        igt = Solver(g, cap).value(0, Player.DOMINATOR)
+        igt = Solver(g).value(0, Player.DOMINATOR)
         checked += 1
         if 3 * igt > 2 * g.n:
             counterexamples.append((gid, g.n, igt))
@@ -182,13 +182,13 @@ class GapScan:
         return sum(self.histogram.values())
 
 
-def cp_scan(entries: Iterable[CorpusEntry], cap: int = DEFAULT_SOLVER_CAP) -> GapScan:
+def cp_scan(entries: Iterable[CorpusEntry]) -> GapScan:
     """Histogram of Staller-start minus Dominator-start values."""
     histogram: dict[int, int] = {}
     witnesses: list[tuple[str, int]] = []  # in input order, at the peak so far
     skipped: list[tuple[str, str]] = []
-    for gid, g in _solvable(entries, cap, skipped):
-        gap = cp_gap(g, cap)
+    for gid, g in _solvable(entries, skipped):
+        gap = cp_gap(g)
         histogram[gap] = histogram.get(gap, 0) + 1
         peak = abs(witnesses[0][1]) if witnesses else 0
         if abs(gap) > peak:
@@ -215,10 +215,10 @@ class Diameter2Summary:
         return 1 if self.violations else 0
 
 
-def diam2_sample(n: int, p: float, trials: int, seed: int,
-                 cap: int = DEFAULT_SOLVER_CAP) -> Diameter2Summary:
+def diam2_sample(n: int, p: float, trials: int, seed: int) -> Diameter2Summary:
     """Sample G(n, p); check both game values of every sample that T36 (2n/3)
-    applies to. Reports the diameter-2 fraction; over ``cap`` it raises."""
+    applies to. Reports the diameter-2 fraction; over the solver cap it
+    raises."""
     (t36,) = bounds_by_name(("T36",))
     rng = random.Random(seed)
     diameter2 = connected = checked = 0
@@ -233,7 +233,7 @@ def diam2_sample(n: int, p: float, trials: int, seed: int,
             diameter2 += 1
         if not t36.applies(facts):
             continue
-        igt, igts = solve_both(g, cap)
+        igt, igts = solve_both(g)
         checked += 1
         if not check_bound(t36, facts, igt, igts).passed:
             violations.append(

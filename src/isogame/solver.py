@@ -24,14 +24,23 @@ _EXACT, _LOWER, _UPPER = 0, 1, 2
 _UNBOUNDED = sys.maxsize
 
 
-def solver_cap_from_env(default: int = DEFAULT_SOLVER_CAP) -> int:
+def solver_cap_from_env() -> int:
+    """The solver cap: ``ISOGAME_SOLVER_CAP`` if set, else the default.
+
+    A game needs at least 2 vertices, so a cap below 2 could solve nothing
+    and is rejected like a value that is not an integer.
+    """
     raw = os.environ.get(SOLVER_CAP_ENV)
     if raw is None:
-        return default
+        return DEFAULT_SOLVER_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise SolverCapError(f"{SOLVER_CAP_ENV} must be an integer, got {raw!r}")
+        cap = 0
+    if cap < 2:
+        raise SolverCapError(
+            f"{SOLVER_CAP_ENV} must be an integer of at least 2, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -75,10 +84,12 @@ class StateCache:
         return before.bit_count() - after.bit_count()
 
 
-def check_solvable(g: Graph, cap: int) -> None:
-    """The one solvability rule: the game's domain, at most ``cap`` vertices,
-    and at most half the recursion limit, since the searches recurse once per
-    move and a game has at most n moves (the other half is for the callers)."""
+def check_solvable(g: Graph) -> None:
+    """The one solvability rule: the game's domain, at most the solver cap
+    (read here, so every search honours ``ISOGAME_SOLVER_CAP``), and at most
+    half the recursion limit, since the searches recurse once per move and a
+    game has at most n moves (the other half is for the callers)."""
+    cap = solver_cap_from_env()
     check_game_domain(g)
     if g.n > cap:
         raise SolverCapError(
@@ -100,8 +111,8 @@ class Solver:
     1975).
     """
 
-    def __init__(self, g: Graph, cap: int = DEFAULT_SOLVER_CAP):
-        check_solvable(g, cap)
+    def __init__(self, g: Graph):
+        check_solvable(g)
         self.graph = g
         self.cache = StateCache(g)
         self._table: dict[int, tuple[int, int]] = {}
@@ -183,22 +194,21 @@ class Solver:
         return GameValue(total_moves=total, principal_variation=tuple(variation))
 
 
-def solve(g: Graph, first_mover: Player = Player.DOMINATOR,
-          cap: int = DEFAULT_SOLVER_CAP) -> GameValue:
+def solve(g: Graph, first_mover: Player = Player.DOMINATOR) -> GameValue:
     """Game length under optimal play: the Dominator-start value for
     ``Player.DOMINATOR``, the Staller-start value for ``Player.STALLER``."""
-    return Solver(g, cap).game_value(first_mover)
+    return Solver(g).game_value(first_mover)
 
 
-def cp_gap(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> int:
+def cp_gap(g: Graph) -> int:
     """Staller-start value minus Dominator-start value (signed)."""
-    solver = Solver(g, cap)
+    solver = Solver(g)
     return solver.value(0, Player.STALLER) - solver.value(0, Player.DOMINATOR)
 
 
-def solve_both(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> tuple[int, int]:
+def solve_both(g: Graph) -> tuple[int, int]:
     """(Dominator-start value, Staller-start value) sharing one table."""
-    solver = Solver(g, cap)
+    solver = Solver(g)
     return solver.value(0, Player.DOMINATOR), solver.value(0, Player.STALLER)
 
 

@@ -20,7 +20,7 @@ from .errors import (GameStateError, IllegalMoveError, ProtocolViolationError,
                      SnapshotDomainError, StrategyDomainError)
 from .graph import (Graph, closed_neighborhood, induced_subgraph, iter_bits,
                     open_neighborhood, vertex_set, vertices_of)
-from .solver import DEFAULT_SOLVER_CAP, Solver, StateCache, check_solvable
+from .solver import Solver, StateCache, check_solvable
 
 STAGE_BURST = 1
 STAGE_TRICKLE = 2
@@ -132,12 +132,8 @@ class OptimalStrategy(Strategy):
 
     name = "optimal"
 
-    def __init__(self, cap: int = DEFAULT_SOLVER_CAP):
-        super().__init__()
-        self.cap = cap
-
     def _new_search(self, g):
-        return Solver(g, self.cap)
+        return Solver(g)
 
     def choose(self, state, history):
         return self._search_for(state.graph).best_move(state.played, state.mover)
@@ -179,10 +175,6 @@ class ExtremalStaller(Strategy):
     name = "extremal"
     needs_last_move = True
 
-    def __init__(self, cap: int = DEFAULT_SOLVER_CAP):
-        super().__init__()
-        self.cap = cap
-
     def _new_search(self, g):
         # Component kinds, and a solver per vertex mask, built when first asked.
         return tuple(_component_kind(g, comp) for comp in g.components), {}
@@ -193,7 +185,7 @@ class ExtremalStaller(Strategy):
         entry = solvers.get(members)
         if entry is None:
             sub, originals = induced_subgraph(state.graph, members)
-            entry = solvers[members] = (Solver(sub, self.cap), originals)
+            entry = solvers[members] = (Solver(sub), originals)
         solver, originals = entry
         local_played = vertex_set(originals.index(v)
                                   for v in vertices_of(state.played & members))
@@ -248,10 +240,6 @@ class GameTrace:
     @property
     def t(self) -> int:
         return len(self.moves)
-
-    @property
-    def final_played(self) -> int:
-        return vertex_set(record.vertex for record in self.moves)
 
     def played_before(self, index: int) -> int:
         return vertex_set(record.vertex for record in self.moves[:index])
@@ -365,9 +353,8 @@ class ForcedGameSolver:
     on (played set, mover) alone.
     """
 
-    def __init__(self, g: Graph, strategy: Strategy, fixed_role: Player,
-                 cap: int = DEFAULT_SOLVER_CAP):
-        check_solvable(g, cap)
+    def __init__(self, g: Graph, strategy: Strategy, fixed_role: Player):
+        check_solvable(g)
         self.graph = g
         self.strategy = strategy
         self.fixed_role = fixed_role
@@ -419,11 +406,10 @@ class ForcedGameSolver:
 
 
 def best_response_value(g: Graph, strategy: Strategy, fixed_role: Player,
-                        first_mover: Player = Player.DOMINATOR,
-                        cap: int = DEFAULT_SOLVER_CAP) -> int:
+                        first_mover: Player = Player.DOMINATOR) -> int:
     """Game length with ``fixed_role`` forced to ``strategy`` and the other
     side playing its own optimum against it."""
-    return ForcedGameSolver(g, strategy, fixed_role, cap).value_from(0, first_mover)
+    return ForcedGameSolver(g, strategy, fixed_role).value_from(0, first_mover)
 
 
 class BestResponseStrategy(Strategy):
@@ -432,15 +418,13 @@ class BestResponseStrategy(Strategy):
 
     name = "best-response"
 
-    def __init__(self, opponent: Strategy, role: Player,
-                 cap: int = DEFAULT_SOLVER_CAP):
+    def __init__(self, opponent: Strategy, role: Player):
         super().__init__()
         self.opponent = opponent
         self.role = role
-        self.cap = cap
 
     def _new_search(self, g):
-        return ForcedGameSolver(g, self.opponent, self.role.other, self.cap)
+        return ForcedGameSolver(g, self.opponent, self.role.other)
 
     def choose(self, state, history):
         if state.mover is not self.role:

@@ -10,6 +10,12 @@ DATA_DIR = Path(__file__).parent / "data"
 CORPUS_PATH = DATA_DIR / "connected_3_8.g6"
 
 
+@pytest.fixture(autouse=True)
+def default_solver_cap(monkeypatch):
+    """Run every test at the default cap, whatever the calling shell sets."""
+    monkeypatch.delenv("ISOGAME_SOLVER_CAP", raising=False)
+
+
 @pytest.fixture(scope="session")
 def corpus_entries():
     """All connected graphs on 3..8 vertices, parsed once per session."""

@@ -270,7 +270,7 @@ def test_scan_conjecture_flags_findings_loudly(capsys, tmp_path, monkeypatch):
 
     fake = ConjectureScan(counterexamples=[("x:1", 9, 7)], checked=1, skipped=[])
     monkeypatch.setattr(cli_module, "scan_conjecture",
-                        lambda entries, cap: fake)
+                        lambda entries: fake)
     corpus = tmp_path / "c.g6"
     corpus.write_text(emit_graph6(cycle(5)) + "\n")
     code, out, _ = run(capsys, "scan-conjecture", str(corpus))
@@ -342,6 +342,30 @@ def test_env_cap_small_turns_solve_into_capacity_error(capsys, monkeypatch):
     code, _, err = run(capsys, "solve", "P5")
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("value", ["many", "0"])
+@pytest.mark.parametrize("argv", [
+    ("solve", "P5"),
+    ("verify", "{corpus}"),
+    ("verify", "{empty}"),
+    ("verify", "{corpus}", "--jobs", "2"),
+    ("scan-conjecture", "{corpus}"),
+    ("cp-scan", "{corpus}"),
+    ("diam2", "--n", "8", "--p", "0.6", "--trials", "30", "--seed", "1"),
+])
+def test_malformed_cap_is_usage_error(capsys, tmp_path, monkeypatch, argv, value):
+    """A cap that is not an integer of at least 2 stops the command before
+    any output; it is never turned into one skip per graph."""
+    corpus, empty = tmp_path / "c.g6", tmp_path / "empty.g6"
+    corpus.write_text(emit_graph6(cycle(5)) + "\n")
+    empty.write_text("")
+    monkeypatch.setenv("ISOGAME_SOLVER_CAP", value)
+    code, out, err = run(capsys, *(arg.format(corpus=corpus, empty=empty)
+                                   for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == (f"error: ISOGAME_SOLVER_CAP must be an integer of at least "
+                   f"2, got {value!r}\n")
 
 
 def test_usage_error_exit_code(capsys):

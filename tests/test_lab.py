@@ -60,9 +60,10 @@ def test_verify_parallel_matches_serial():
         == [(r.igt, r.igts) for r in parallel.reports]
 
 
-def test_verify_respects_cap():
+def test_verify_respects_cap(monkeypatch):
+    monkeypatch.setenv("ISOGAME_SOLVER_CAP", "8")
     entries = load_graph6_corpus(io.StringIO(_corpus_text([path(9), path(5)])))
-    result = verify(entries, cap=8)
+    result = verify(entries)
     assert len(result.reports) == 1
     assert len(result.skipped) == 1
 
@@ -83,18 +84,19 @@ def test_verify_bound_filter():
     assert verify(entries, bound_names=()).reports[0].checks == ()
 
 
-def test_corpus_commands_skip_each_entry_with_the_same_reason():
+def test_corpus_commands_skip_each_entry_with_the_same_reason(monkeypatch):
+    monkeypatch.setenv("ISOGAME_SOLVER_CAP", "8")
     text = "zz@@@\n" + _corpus_text([path(1), Graph(3, [(0, 1)]), path(9),
                                      path(5)])
     entries = list(load_graph6_corpus(io.StringIO(text), source="t"))
-    skipped = verify(entries, cap=8).skipped
+    skipped = verify(entries).skipped
     assert [gid for gid, _ in skipped] == ["t:1", "t:2", "t:3", "t:4"]
     assert skipped[0][1] == entries[0].error
     assert "at least 2 vertices" in skipped[1][1]
     assert "isolate-free" in skipped[2][1]
     assert "solver cap 8" in skipped[3][1]
-    assert scan_conjecture(entries, cap=8).skipped == skipped
-    assert cp_scan(entries, cap=8).skipped == skipped
+    assert scan_conjecture(entries).skipped == skipped
+    assert cp_scan(entries).skipped == skipped
 
 
 def test_scan_conjecture_extremal_families_not_counterexamples():

@@ -131,21 +131,23 @@ def test_solving_does_not_pin_the_graph():
     assert [ref() for ref in refs] == [None, None]
 
 
-def test_domain_and_capacity_errors():
+def test_domain_and_capacity_errors(monkeypatch):
     from isogame.graph import Graph
     with pytest.raises(GraphDomainError):
         solve(Graph(3, [(0, 1)]))  # isolated vertex
+    monkeypatch.setenv("ISOGAME_SOLVER_CAP", "8")
     with pytest.raises(SolverCapError):
-        solve(path(10), cap=8)
+        solve(path(10))
 
 
-def test_graph_deeper_than_the_recursion_limit_is_refused():
+def test_graph_deeper_than_the_recursion_limit_is_refused(monkeypatch):
     """A game has up to n moves and the search recurses once per move."""
+    monkeypatch.setenv("ISOGAME_SOLVER_CAP", "5000")
     with pytest.raises(SolverCapError, match="recursion limit"):
-        Solver(path(1200), cap=5000)
+        Solver(path(1200))
     with pytest.raises(SolverCapError, match="recursion limit"):
         strategies.ForcedGameSolver(path(1200), strategies.GreedyDominator(),
-                                    Player.DOMINATOR, cap=5000)
+                                    Player.DOMINATOR)
 
 
 def test_cap_env_override(monkeypatch):
@@ -156,6 +158,35 @@ def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("ISOGAME_SOLVER_CAP", "many")
     with pytest.raises(SolverCapError):
         solver_cap_from_env()
+    monkeypatch.setenv("ISOGAME_SOLVER_CAP", "2")
+    assert solver_cap_from_env() == 2
+    for too_small in ("1", "0", "-3"):
+        monkeypatch.setenv("ISOGAME_SOLVER_CAP", too_small)
+        with pytest.raises(SolverCapError, match="at least 2"):
+            solver_cap_from_env()
+
+
+def test_library_searches_read_the_cap_from_the_environment(monkeypatch):
+    """Every search honours ISOGAME_SOLVER_CAP when it is built; none takes
+    a cap argument."""
+    g = path(10)
+    assert solve(g).total_moves == oracles.brute_solve(g, Player.DOMINATOR)
+    monkeypatch.setenv("ISOGAME_SOLVER_CAP", "8")
+    greedy = strategies.GreedyDominator()
+    searches = [
+        lambda: solve_both(g),
+        lambda: cp_gap(g),
+        lambda: Solver(g),
+        lambda: strategies.ForcedGameSolver(g, greedy, Player.DOMINATOR),
+        lambda: strategies.best_response_value(g, greedy, Player.DOMINATOR),
+        lambda: strategies.simulate(g, greedy, strategies.OptimalStrategy()),
+        lambda: strategies.simulate(
+            g, greedy,
+            strategies.BestResponseStrategy(greedy, Player.STALLER)),
+    ]
+    for search in searches:
+        with pytest.raises(SolverCapError, match="solver cap 8"):
+            search()
 
 
 def test_stats_populated():

@@ -129,11 +129,17 @@ def verify(entries: Iterable[CorpusEntry], bound_names: tuple[str, ...] | None =
     bounds_by_name(bound_names)  # fail fast on unknown names
     skipped: list[tuple[str, str]] = []
     work = ((gid, g, bound_names) for gid, g in _solvable(entries, skipped))
+    # The first graph is evaluated here, before any worker starts, so an
+    # error on it, or a corpus with nothing to solve, never forks a pool.
+    try:
+        reports = [_verify_worker(next(work))]
+    except StopIteration:
+        return VerifyResult(reports=[], skipped=skipped)
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            reports = list(pool.imap(_verify_worker, work, chunksize=64))
+            reports.extend(pool.imap(_verify_worker, work, chunksize=64))
     else:
-        reports = list(map(_verify_worker, work))
+        reports.extend(map(_verify_worker, work))
     return VerifyResult(reports=reports, skipped=skipped)
 
 

@@ -1,10 +1,13 @@
-"""Exact game values by alpha-beta minimax over (played set, mover) states.
+"""Exact game values by alpha-beta minimax over (unmarked set, mover) states.
 
-Marking depends only on the played set, so legal moves and the remaining
-move count are functions of (played set, mover); that Markov property is
-what makes the transposition table sound. Dominator minimizes and Staller
-maximizes the number of moves in the completed game. All tie-breaks are
-lowest vertex index, so values and principal variations are reproducible.
+The game's future depends only on the unmarked set ``U``: the playable
+vertices are the neighbors of ``U``, the game ends when ``U`` is empty, and
+playing ``w`` gives the next ``U`` from ``U`` and ``w`` alone (see
+:func:`_step`). So legal moves and the remaining move count are functions
+of (``U``, mover), and every played set that reaches the same ``U`` shares
+one table entry. Dominator minimizes and Staller maximizes the number of
+moves in the completed game. All tie-breaks are lowest vertex index, so
+values and principal variations are reproducible.
 """
 
 from __future__ import annotations
@@ -93,8 +96,8 @@ def check_solvable(g: Graph) -> None:
     check_game_domain(g)
     if g.n > cap:
         raise SolverCapError(
-            f"n={g.n} exceeds the solver cap {cap}; raise the cap "
-            f"(or set {SOLVER_CAP_ENV}) to solve it anyway")
+            f"n={g.n} exceeds the solver cap {cap}; "
+            f"set {SOLVER_CAP_ENV} to solve it anyway")
     limit = sys.getrecursionlimit()
     if g.n > limit // 2:
         raise SolverCapError(
@@ -102,13 +105,41 @@ def check_solvable(g: Graph) -> None:
             f"{limit}; the search recurses once per move")
 
 
+def _step(adj: tuple[int, ...], unmarked: int, w: int) -> int:
+    """The unmarked set after playing the playable vertex ``w`` from ``unmarked``.
+
+    An unmarked vertex with no unmarked neighbor is a played vertex not yet
+    covered; every other unmarked vertex is unplayed and keeps an unmarked
+    neighbor. Playing ``w`` marks its neighbors, and then every unplayed
+    ``x != w`` left without an unmarked neighbor is isolated and marked.
+    Only neighbors of the newly marked vertices can lose their last
+    unmarked neighbor, so the work stays in the distance-2 ball of ``w``.
+    """
+    lost = unmarked & adj[w]
+    after = unmarked ^ lost
+    near = 0
+    while lost:
+        low = lost & -lost
+        near |= adj[low.bit_length() - 1]
+        lost ^= low
+    near &= after & ~(1 << w)
+    isolated = 0
+    while near:
+        low = near & -near
+        if not adj[low.bit_length() - 1] & after:
+            isolated |= low
+        near ^= low
+    return after ^ isolated
+
+
 class Solver:
     """Alpha-beta minimax with a transposition table, for one graph.
 
-    One table serves both starts: entries are keyed by
-    ``played << 1 | dominator_to_move`` and carry a bound flag, so a value
-    found under a cut window is never read back as exact (Knuth & Moore
-    1975).
+    The search runs on (unmarked set, mover) states. One table serves both
+    starts: entries are keyed by ``unmarked << 1 | dominator_to_move`` and
+    carry a bound flag, so a value found under a cut window is never read
+    back as exact (Knuth & Moore 1975). The public methods take a played
+    set and convert it to its unmarked set once, through ``cache``.
     """
 
     def __init__(self, g: Graph):
@@ -130,8 +161,15 @@ class Solver:
         result strictly inside it is exact, one at or below ``alpha`` is an
         upper bound and one at or above ``beta`` a lower bound.
         """
-        dom = mover is Player.DOMINATOR
-        key = played << 1 | dom
+        return self._search(self.cache.info(played)[0],
+                            mover is Player.DOMINATOR, alpha, beta)
+
+    def _search(self, unmarked: int, dom: bool,
+                alpha: int = -1, beta: int = _UNBOUNDED) -> int:
+        """:meth:`value` on the unmarked set, with the same window contract."""
+        if not unmarked:
+            return 0
+        key = unmarked << 1 | dom
         entry = self._table.get(key)
         if entry is not None:
             flag, stored = entry
@@ -145,23 +183,21 @@ class Solver:
             if alpha >= beta:
                 self._hits += 1
                 return stored
-        unmarked, playable = self.cache.info(played)
-        if unmarked == 0:
-            self._table[key] = (_EXACT, 0)
-            return 0
         alpha_in, beta_in = alpha, beta
-        other = mover.other
+        adj = self.graph.adj
+        search = self._search
         best = None
-        for v in iter_bits(playable):
-            child = 1 + self.value(played | 1 << v, other, alpha - 1, beta - 1)
+        other = not dom
+        for v in iter_bits(playable_from(self.graph, unmarked)):
+            child = 1 + search(_step(adj, unmarked, v), other, alpha - 1, beta - 1)
             if best is None or (child < best if dom else child > best):
                 best = child
-            if dom:
-                beta = min(beta, best)
-            else:
-                alpha = max(alpha, best)
-            if alpha >= beta:
-                break
+                if dom:
+                    beta = min(beta, best)
+                else:
+                    alpha = max(alpha, best)
+                if alpha >= beta:
+                    break
         if best <= alpha_in:
             self._table[key] = (_UPPER, best)
         elif best >= beta_in:
@@ -170,26 +206,31 @@ class Solver:
             self._table[key] = (_EXACT, best)
         return best
 
-    def best_move(self, played: int, mover: Player) -> int:
-        """Lowest-index playable vertex attaining the mover's optimum."""
-        unmarked, playable = self.cache.info(played)
-        if unmarked == 0:
+    def _best_move(self, unmarked: int, dom: bool) -> int:
+        if not unmarked:
             raise GameStateError("no optimal move in a terminal state")
-        target = self.value(played, mover)
-        for v in iter_bits(playable):
-            if 1 + self.value(played | 1 << v, mover.other) == target:
+        adj = self.graph.adj
+        target = self._search(unmarked, dom)
+        for v in iter_bits(playable_from(self.graph, unmarked)):
+            if 1 + self._search(_step(adj, unmarked, v), not dom) == target:
                 return v
         raise AssertionError("some child must attain the minimax value")
 
+    def best_move(self, played: int, mover: Player) -> int:
+        """Lowest-index playable vertex attaining the mover's optimum."""
+        return self._best_move(self.cache.info(played)[0],
+                               mover is Player.DOMINATOR)
+
     def game_value(self, first_mover: Player) -> GameValue:
         total = self.value(0, first_mover)
+        unmarked = self.cache.info(0)[0]
+        dom = first_mover is Player.DOMINATOR
         variation = []
-        played, mover = 0, first_mover
-        while self.cache.info(played)[0]:
-            v = self.best_move(played, mover)
+        while unmarked:
+            v = self._best_move(unmarked, dom)
             variation.append(v)
-            played |= 1 << v
-            mover = mover.other
+            unmarked = _step(self.graph.adj, unmarked, v)
+            dom = not dom
         assert len(variation) == total
         return GameValue(total_moves=total, principal_variation=tuple(variation))
 

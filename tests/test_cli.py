@@ -309,7 +309,8 @@ def test_diam2_over_the_cap_is_usage_error(capsys):
                          "--trials", "3")
     assert code == 2
     assert out == ""
-    assert "error: n=25 exceeds the solver cap 20" in err
+    assert err == ("error: n=25 exceeds the solver cap 20; "
+                   "set ISOGAME_SOLVER_CAP to solve it anyway\n")
 
 
 @pytest.mark.parametrize("argv", [("--n", "25", "--p", "0.05", "--trials", "3"),

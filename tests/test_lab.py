@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import multiprocessing
 
+import pytest
+
+from isogame.errors import SolverCapError
 from isogame.families import complete, cycle, disjoint_union, path
 from isogame.graph import Graph
 from isogame.graph6 import emit_graph6
@@ -58,6 +62,28 @@ def test_verify_parallel_matches_serial():
     assert [r.gid for r in serial.reports] == [r.gid for r in parallel.reports]
     assert [(r.igt, r.igts) for r in serial.reports] \
         == [(r.igt, r.igts) for r in parallel.reports]
+
+
+def test_verify_builds_no_pool_before_its_first_graph(monkeypatch):
+    """A malformed cap, an empty corpus and a corpus with nothing solvable
+    all finish before ``--jobs 2`` would fork its workers."""
+    class NoPool(Exception):
+        pass
+
+    def no_pool(*args, **kwargs):
+        raise NoPool
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    unsolvable = CorpusEntry(gid="bad", graph=None, error="not graph6")
+    assert verify([], jobs=2).reports == []
+    result = verify([unsolvable], jobs=2)
+    assert (result.reports, result.skipped) == ([], [("bad", "not graph6")])
+    monkeypatch.setenv("ISOGAME_SOLVER_CAP", "many")
+    with pytest.raises(SolverCapError, match="must be an integer"):
+        verify([CorpusEntry(gid="c5", graph=cycle(5))], jobs=2)
+    monkeypatch.delenv("ISOGAME_SOLVER_CAP")
+    with pytest.raises(NoPool):  # the patch is what a solvable corpus reaches
+        verify([CorpusEntry(gid="c5", graph=cycle(5))], jobs=2)
 
 
 def test_verify_respects_cap(monkeypatch):

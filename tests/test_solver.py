@@ -8,13 +8,14 @@ import weakref
 import pytest
 
 from isogame import oracles
-from isogame.engine import Player, new_game, replay
+from isogame.engine import Player, marked_set, new_game, playable_from, replay
 from isogame.errors import GameStateError, GraphDomainError, SolverCapError
 from isogame.families import (complete, cycle, from_shorthand, path,
                               random_connected)
 from isogame import lab, strategies
-from isogame.solver import (_EXACT, _LOWER, _UPPER, Solver, cp_gap, solve,
-                            solve_both, solver_cap_from_env)
+from isogame.graph import vertex_set, vertices_of
+from isogame.solver import (_EXACT, _LOWER, _UPPER, Solver, _step, cp_gap,
+                            solve, solve_both, solver_cap_from_env)
 
 P5 = path(5)
 
@@ -80,27 +81,93 @@ def test_matches_brute_oracle_small(small_connected):
             assert solver.value(0, mover) == oracles.brute_solve(g, mover)
 
 
+def _played_set_reaching(g):
+    """Each unmarked set the game can reach, mapped to a played set that
+    reaches it, both found by the oracles alone (legal moves from the empty
+    set, marks re-derived on plain sets)."""
+    reaching = {}
+    frontier = [0]
+    seen = {0}
+    while frontier:
+        played = frontier.pop()
+        as_set = set(vertices_of(played))
+        unmarked = g.full_mask & ~vertex_set(oracles.marked_vertices(g, as_set))
+        reaching.setdefault(unmarked, played)
+        for v in oracles.legal_moves(g, as_set):
+            child = played | 1 << v
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    return reaching
+
+
 def test_table_entries_match_memo_free_values():
     """Every kind of table entry, exact or a bound stored under a cut
-    window, reads back through ``value`` as the oracle's exact value."""
+    window, holds for the oracle's exact value at a played set reaching its
+    unmarked set, and reads back through ``value`` as that exact value."""
     rng = random.Random(5)
     seen = set()
     for _ in range(20):
         g = random_connected(rng.randint(3, 7), 0.5, 1, seed=rng.random())
+        reaching = _played_set_reaching(g)
         solver = Solver(g)
         solver.game_value(Player.DOMINATOR)
+        assert {key >> 1 for key in solver._table} <= set(reaching)
         by_flag = {flag: [] for flag in (_EXACT, _LOWER, _UPPER)}
-        for key, (flag, _) in sorted(solver._table.items()):
-            by_flag[flag].append(key)
-        for flag, keys in by_flag.items():
-            if keys:
+        for key, (flag, stored) in sorted(solver._table.items()):
+            by_flag[flag].append((key, stored))
+        for flag, entries in by_flag.items():
+            if entries:
                 seen.add(flag)
-            for key in rng.sample(keys, min(5, len(keys))):
-                played, dominator_to_move = key >> 1, key & 1
+            for key, stored in rng.sample(entries, min(5, len(entries))):
+                unmarked, dominator_to_move = key >> 1, key & 1
                 mover = Player.DOMINATOR if dominator_to_move else Player.STALLER
-                assert solver.value(played, mover) == oracles.brute_solve_from(
-                    g, set(v for v in range(g.n) if played >> v & 1), mover)
+                played = reaching[unmarked]
+                exact = oracles.brute_solve_from(g, set(vertices_of(played)), mover)
+                if flag == _EXACT:
+                    assert stored == exact
+                elif flag == _LOWER:
+                    assert stored <= exact
+                else:
+                    assert stored >= exact
+                assert solver.value(played, mover) == exact
     assert seen == {_EXACT, _LOWER, _UPPER}
+
+
+@pytest.mark.parametrize("spec", [
+    (6, 0.4, 1), (9, 0.3, 2), (10, 0.5, 3), (12, 0.2, 4),
+    "C3", "C7", "C12", "P3+C3+P6+C6", "P3+P3+C6+C6",
+], ids=str)
+def test_step_matches_marked_set_along_random_playouts(spec):
+    """From an unmarked set, the step by a playable ``w`` gives the unmarked
+    set of the played set plus ``w``, by the engine and by the oracle."""
+    if isinstance(spec, str):
+        g = from_shorthand(spec)
+    else:
+        n, p, seed = spec
+        g = random_connected(n, p, 1, seed=seed)
+    rng = random.Random(g.n * 1000 + g.m)
+    for _ in range(30):
+        played, unmarked = 0, g.full_mask
+        while unmarked:
+            playable = playable_from(g, unmarked)
+            assert playable == vertex_set(
+                oracles.legal_moves(g, set(vertices_of(played))))
+            w = rng.choice(vertices_of(playable))
+            played |= 1 << w
+            unmarked = _step(g.adj, unmarked, w)
+            assert unmarked == marked_set(g, played).unmarked
+            assert unmarked == g.full_mask & ~vertex_set(
+                oracles.marked_vertices(g, set(vertices_of(played))))
+
+
+def test_c18_table_holds_one_entry_per_unmarked_state():
+    """Played sets that reach the same unmarked set share an entry: C18's
+    two starts fill 159530 entries when keyed on the played set."""
+    solver = Solver(cycle(18))
+    assert solver.value(0, Player.DOMINATOR) == 11
+    assert solver.value(0, Player.STALLER) == 11
+    assert solver.stats.states <= 159530 // 4
 
 
 def test_solve_both_shares_one_table():

@@ -11,6 +11,7 @@ regardless of workers.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import multiprocessing
 import random
@@ -129,17 +130,21 @@ def verify(entries: Iterable[CorpusEntry], bound_names: tuple[str, ...] | None =
     bounds_by_name(bound_names)  # fail fast on unknown names
     skipped: list[tuple[str, str]] = []
     work = ((gid, g, bound_names) for gid, g in _solvable(entries, skipped))
-    # The first graph is evaluated here, before any worker starts, so an
-    # error on it, or a corpus with nothing to solve, never forks a pool.
+    # The first graph is evaluated here, and a pool opens only once a second
+    # one exists, so an error on the first graph, or a corpus with fewer than
+    # two graphs to solve, never forks workers. No graph is bound to a name
+    # on the serial path, so it holds one parsed graph at a time.
     try:
         reports = [_verify_worker(next(work))]
     except StopIteration:
         return VerifyResult(reports=[], skipped=skipped)
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            reports.extend(pool.imap(_verify_worker, work, chunksize=64))
-    else:
+    second = next(work, None) if jobs > 1 else None
+    if second is None:
         reports.extend(map(_verify_worker, work))
+    else:
+        with multiprocessing.Pool(jobs) as pool:
+            reports.extend(pool.imap(_verify_worker, itertools.chain((second,), work),
+                                     chunksize=64))
     return VerifyResult(reports=reports, skipped=skipped)
 
 

@@ -5,16 +5,22 @@ legality comes straight from the two-clause selection rule (a move must
 totally dominate either a vertex of a nontrivial surviving component, or a
 played vertex left isolated after deleting the played neighborhood), and
 the solvers recurse without any memoization. None of it shares code with
-the bitmask engine, which is the point.
+the bitmask engine, which is the point. The one exception is the
+``GameState`` that :func:`brute_forced_value` hands a strategy, since that
+is what a strategy reads; its move is still judged by :func:`legal_moves`.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import TYPE_CHECKING
 
-from .engine import Player
-from .errors import GraphDomainError, SolverCapError
+from .engine import GameState, Player
+from .errors import GraphDomainError, ProtocolViolationError, SolverCapError
 from .graph import Graph
+
+if TYPE_CHECKING:
+    from .strategies import Strategy
 
 BRUTE_SOLVE_CAP = 12
 SUBSET_SEARCH_CAP = 24
@@ -101,13 +107,45 @@ def brute_solve_from(g: Graph, played: set[int], mover: Player) -> int:
     return best
 
 
-def brute_solve(g: Graph, first_mover: Player) -> int:
+def _check_brute_domain(g: Graph) -> None:
     if g.n > BRUTE_SOLVE_CAP:
         raise SolverCapError(
             f"brute-force solver caps at n={BRUTE_SOLVE_CAP}, got n={g.n}")
     if g.n < 2 or g.min_degree == 0:
         raise GraphDomainError("game values need an isolate-free graph with n >= 2")
+
+
+def brute_solve(g: Graph, first_mover: Player) -> int:
+    _check_brute_domain(g)
     return brute_solve_from(g, set(), first_mover)
+
+
+def brute_forced_value(g: Graph, strategy: Strategy, fixed_role: Player,
+                       first_mover: Player = Player.DOMINATOR) -> int:
+    """Memo-free game length with ``fixed_role`` forced to ``strategy``.
+
+    The free side ranges over :func:`legal_moves` to its own objective
+    (Dominator minimizes, Staller maximizes); the forced side plays
+    ``strategy.choose`` on the full move history, and a move outside
+    :func:`legal_moves` raises :class:`ProtocolViolationError`.
+    """
+    _check_brute_domain(g)
+
+    def value(history: tuple[int, ...], mover: Player) -> int:
+        played = set(history)
+        moves = legal_moves(g, played)
+        if not moves:
+            return 0
+        if mover is fixed_role:
+            state = GameState(g, sum(1 << v for v in played), first_mover)
+            v = strategy.choose(state, history)
+            if v not in moves:
+                raise ProtocolViolationError(strategy.name, v, "not-playable")
+            return 1 + value(history + (v,), mover.other)
+        children = [1 + value(history + (v,), mover.other) for v in moves]
+        return min(children) if mover is Player.DOMINATOR else max(children)
+
+    return value((), first_mover)
 
 
 def _is_isolating(g: Graph, members: set[int]) -> bool:

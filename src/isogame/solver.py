@@ -64,7 +64,10 @@ class StateCache:
     """(unmarked mask, playable mask) per played set, for one graph.
 
     A plain memo owned by the solve or simulation that creates it, so its
-    marks are freed together with that owner.
+    marks are freed together with that owner. Its remaining users are the
+    played-set boundary of :class:`Solver` (``value``, ``best_move`` and
+    ``game_value``) and :func:`strategies.simulate`; the searches themselves
+    step the unmarked set with :func:`_step`.
     """
 
     def __init__(self, g: Graph):

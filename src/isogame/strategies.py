@@ -20,7 +20,7 @@ from .errors import (GameStateError, IllegalMoveError, ProtocolViolationError,
                      SnapshotDomainError, StrategyDomainError)
 from .graph import (Graph, closed_neighborhood, induced_subgraph, iter_bits,
                     open_neighborhood, vertex_set, vertices_of)
-from .solver import Solver, StateCache, check_solvable
+from .solver import Solver, StateCache, _step, check_solvable
 
 STAGE_BURST = 1
 STAGE_TRICKLE = 2
@@ -64,13 +64,19 @@ class Strategy:
 
 def _mark_gains(g: Graph, played: int, within: int = -1) -> list[tuple[int, int]]:
     """(vertex, new-mark count) for every playable vertex in ``within``,
-    ascending index."""
+    ascending index.
+
+    The unmarked set ``U`` of ``played`` is computed once; a vertex's gain
+    is ``|U|`` minus the size of the unmarked set it steps ``U`` to, so no
+    candidate re-marks the graph from scratch.
+    """
     unmarked = marked_set(g, played).unmarked
     playable = playable_from(g, unmarked) & within
     if playable == 0:
         raise GameStateError("no moves in a terminal state")
+    adj = g.adj
     before = unmarked.bit_count()
-    return [(v, before - marked_set(g, played | 1 << v).unmarked.bit_count())
+    return [(v, before - _step(adj, unmarked, v).bit_count())
             for v in iter_bits(playable)]
 
 
@@ -348,9 +354,14 @@ class ForcedGameSolver:
     """Minimax with one side's moves forced by a strategy.
 
     The free side plays to its own objective (Dominator minimizes, Staller
-    maximizes the total move count). For strategies that read the
-    opponent's previous move the memo key carries it; everything else keys
-    on (played set, mover) alone.
+    maximizes the total move count). The search carries the unmarked set
+    ``U`` beside the played set and steps it with :func:`solver._step`, so
+    no node re-marks the graph. The memo still keys on the played set, not
+    on ``U``: a forced strategy sees the whole position, and one that reads
+    more than ``U`` (``RandomStrategy`` seeds on the played set) can move
+    differently from two played sets with the same ``U``. For strategies
+    that read the opponent's previous move the key also carries it;
+    everything else keys on (played set, mover) alone.
     """
 
     def __init__(self, g: Graph, strategy: Strategy, fixed_role: Player):
@@ -358,33 +369,39 @@ class ForcedGameSolver:
         self.graph = g
         self.strategy = strategy
         self.fixed_role = fixed_role
-        self.cache = StateCache(g)
         self._memo: dict[tuple[int, bool, int | None], int] = {}
 
     def _state(self, played: int, mover: Player) -> GameState:
         first = mover if played.bit_count() % 2 == 0 else mover.other
         return GameState(self.graph, played, first)
 
-    def value_from(self, played: int, mover: Player, last: int | None = None) -> int:
+    def value_from(self, played: int, mover: Player, last: int | None = None,
+                   unmarked: int | None = None) -> int:
+        """Forced game length from ``played``; ``unmarked`` is its unmarked
+        set when the caller has it, and is computed from ``played`` if not."""
         remember_last = mover is self.fixed_role and self.strategy.needs_last_move
         key = (played, mover is Player.DOMINATOR, last if remember_last else None)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        unmarked, playable = self.cache.info(played)
+        g = self.graph
+        if unmarked is None:
+            unmarked = marked_set(g, played).unmarked
         if unmarked == 0:
             result = 0
         elif mover is self.fixed_role:
             v = self.strategy.choose(self._state(played, mover),
                                      () if last is None else (last,))
-            if not playable >> v & 1:
+            if not playable_from(g, unmarked) >> v & 1:
                 raise ProtocolViolationError(self.strategy.name, v, "not-playable")
-            result = 1 + self.value_from(played | 1 << v, mover.other, v)
+            result = 1 + self.value_from(played | 1 << v, mover.other, v,
+                                         _step(g.adj, unmarked, v))
         else:
             dom = mover is Player.DOMINATOR
             best = None
-            for v in iter_bits(playable):
-                child = 1 + self.value_from(played | 1 << v, mover.other, v)
+            for v in iter_bits(playable_from(g, unmarked)):
+                child = 1 + self.value_from(played | 1 << v, mover.other, v,
+                                            _step(g.adj, unmarked, v))
                 if best is None or (child < best if dom else child > best):
                     best = child
             result = best
@@ -395,12 +412,14 @@ class ForcedGameSolver:
         """Lowest-index optimal move for the non-forced side."""
         if mover is self.fixed_role:
             raise GameStateError("the forced side has no choice to optimize")
-        unmarked, playable = self.cache.info(played)
+        g = self.graph
+        unmarked = marked_set(g, played).unmarked
         if unmarked == 0:
             raise GameStateError("no optimal move in a terminal state")
-        target = self.value_from(played, mover, last)
-        for v in iter_bits(playable):
-            if 1 + self.value_from(played | 1 << v, mover.other, v) == target:
+        target = self.value_from(played, mover, last, unmarked)
+        for v in iter_bits(playable_from(g, unmarked)):
+            if 1 + self.value_from(played | 1 << v, mover.other, v,
+                                   _step(g.adj, unmarked, v)) == target:
                 return v
         raise AssertionError("some child must attain the optimum")
 

@@ -65,8 +65,9 @@ def test_verify_parallel_matches_serial():
 
 
 def test_verify_builds_no_pool_before_its_first_graph(monkeypatch):
-    """A malformed cap, an empty corpus and a corpus with nothing solvable
-    all finish before ``--jobs 2`` would fork its workers."""
+    """A malformed cap, an empty corpus, a corpus with nothing solvable and
+    a corpus with one solvable graph all finish before ``--jobs 2`` would
+    fork its workers; a second solvable graph opens the pool."""
     class NoPool(Exception):
         pass
 
@@ -82,8 +83,12 @@ def test_verify_builds_no_pool_before_its_first_graph(monkeypatch):
     with pytest.raises(SolverCapError, match="must be an integer"):
         verify([CorpusEntry(gid="c5", graph=cycle(5))], jobs=2)
     monkeypatch.delenv("ISOGAME_SOLVER_CAP")
-    with pytest.raises(NoPool):  # the patch is what a solvable corpus reaches
-        verify([CorpusEntry(gid="c5", graph=cycle(5))], jobs=2)
+    result = verify([CorpusEntry(gid="c5", graph=cycle(5)), unsolvable], jobs=2)
+    assert [report.gid for report in result.reports] == ["c5"]
+    assert result.skipped == [("bad", "not graph6")]
+    with pytest.raises(NoPool):  # the patch is what a second graph reaches
+        verify([CorpusEntry(gid="c5", graph=cycle(5)),
+                CorpusEntry(gid="c6", graph=cycle(6))], jobs=2)
 
 
 def test_verify_respects_cap(monkeypatch):

@@ -4,17 +4,20 @@ import random
 
 import pytest
 
-from isogame.engine import Player, new_game, replay
-from isogame.errors import (GameStateError, SnapshotDomainError,
-                            StrategyDomainError)
+from isogame import oracles
+from isogame.engine import Player, marked_set, new_game, playable_from, replay
+from isogame.errors import (GameStateError, ProtocolViolationError,
+                            SnapshotDomainError, StrategyDomainError)
 from isogame.families import (complete, cycle, disjoint_union, from_shorthand,
                               path, random_connected)
-from isogame.graph import Graph, is_independent, is_packing, vertex_set
+from isogame.graph import (Graph, is_independent, is_packing, iter_bits,
+                           vertex_set, vertices_of)
 from isogame.solver import Solver, StateCache, solve
 from isogame.strategies import (STAGE_BURST, STAGE_TRICKLE,
                                 BestResponseStrategy, ExtremalStaller,
-                                GreedyDominator, ModifiedGreedyDominator,
-                                OptimalStrategy, RandomStrategy,
+                                ForcedGameSolver, GreedyDominator,
+                                ModifiedGreedyDominator, OptimalStrategy,
+                                RandomStrategy, Strategy, _mark_gains,
                                 best_response_value, greedy_move,
                                 modified_greedy_move, simulate,
                                 stage_snapshot)
@@ -46,6 +49,34 @@ def test_greedy_first_gain_at_least_max_degree():
 def test_greedy_errors_on_terminal():
     with pytest.raises(GameStateError):
         greedy_move(replay(path(5), [2, 1]))
+
+
+def _gains_from_scratch(g, played, within):
+    before = marked_set(g, played).unmarked
+    return [(v, before.bit_count() - marked_set(g, played | 1 << v).unmarked.bit_count())
+            for v in iter_bits(playable_from(g, before) & within)]
+
+
+def test_mark_gains_match_marked_set_along_playouts():
+    """Gains stepped from the unmarked set equal the drop in ``|U|`` that
+    ``marked_set`` gives, over the whole graph and inside each component."""
+    rng = random.Random(97)
+    graphs = [random_connected(rng.randint(3, 10), rng.uniform(0.2, 0.7), 1,
+                               seed=rng.random()) for _ in range(30)]
+    graphs += [from_shorthand(text)
+               for text in ("P3+C3", "P6+C6", "C3+P6+C6", "P3+C3+P6", "C6+C6")]
+    for g in graphs:
+        for first in Player:
+            state = new_game(g, first)
+            while not state.is_terminal():
+                for within in (-1, *g.components):
+                    expected = _gains_from_scratch(g, state.played, within)
+                    if expected:
+                        assert _mark_gains(g, state.played, within) == expected
+                    else:
+                        with pytest.raises(GameStateError):
+                            _mark_gains(g, state.played, within)
+                state = state.play(rng.choice(vertices_of(state.playable())))
 
 
 def test_modified_greedy_prefers_non_leaf():
@@ -301,3 +332,68 @@ def test_simulated_adversary_attains_forced_value():
         forced = best_response_value(g, greedy, Player.DOMINATOR)
         trace = simulate(g, greedy, BestResponseStrategy(greedy, Player.STALLER))
         assert trace.t == forced
+
+
+def test_forced_search_matches_memo_free_oracle(small_connected):
+    """The forced search agrees with the memo-free oracle on every corpus
+    graph with n <= 6, from both starts."""
+    for g in small_connected:
+        for strategy in (GreedyDominator(), ModifiedGreedyDominator(),
+                         RandomStrategy(5)):
+            for first in Player:
+                assert (best_response_value(g, strategy, Player.DOMINATOR, first)
+                        == oracles.brute_forced_value(g, strategy,
+                                                      Player.DOMINATOR, first))
+    extremal = ExtremalStaller()
+    for text in ("P3+C3", "C6"):
+        g = from_shorthand(text)
+        assert (best_response_value(g, extremal, Player.STALLER)
+                == oracles.brute_forced_value(g, extremal, Player.STALLER))
+
+
+def test_forced_illegal_move_is_a_protocol_violation():
+    class Stubborn(Strategy):
+        name = "stubborn"
+
+        def choose(self, state, history):
+            return 0
+
+    g = path(5)  # vertex 0 stops being playable once played
+    with pytest.raises(ProtocolViolationError, match="stubborn"):
+        best_response_value(g, Stubborn(), Player.DOMINATOR)
+    with pytest.raises(ProtocolViolationError, match="stubborn"):
+        oracles.brute_forced_value(g, Stubborn(), Player.DOMINATOR)
+
+
+# (graph, strategy, first mover) -> entries in the played-set memo
+FORCED_MEMO_SIZES = {
+    ("C6", "greedy", Player.DOMINATOR): 13, ("C6", "greedy", Player.STALLER): 25,
+    ("C6", "modified-greedy", Player.DOMINATOR): 13,
+    ("C6", "modified-greedy", Player.STALLER): 25,
+    ("C6", "random", Player.DOMINATOR): 15, ("C6", "random", Player.STALLER): 33,
+    ("P5", "greedy", Player.DOMINATOR): 4, ("P5", "greedy", Player.STALLER): 16,
+    ("P5", "modified-greedy", Player.DOMINATOR): 4,
+    ("P5", "modified-greedy", Player.STALLER): 18,
+    ("P5", "random", Player.DOMINATOR): 11, ("P5", "random", Player.STALLER): 18,
+    ("P3+C6", "greedy", Player.DOMINATOR): 44, ("P3+C6", "greedy", Player.STALLER): 107,
+    ("P3+C6", "modified-greedy", Player.DOMINATOR): 56,
+    ("P3+C6", "modified-greedy", Player.STALLER): 118,
+    ("P3+C6", "random", Player.DOMINATOR): 82, ("P3+C6", "random", Player.STALLER): 179,
+}
+
+
+def test_forced_memo_keys_on_the_played_set():
+    """Stepping ``U`` leaves the memo keyed on played sets: its sizes are
+    the ones the played-set search filled."""
+    strategies = {s.name: s for s in (GreedyDominator(), ModifiedGreedyDominator(),
+                                      RandomStrategy(5))}
+    for (text, name, first), size in FORCED_MEMO_SIZES.items():
+        search = ForcedGameSolver(from_shorthand(text), strategies[name],
+                                  Player.DOMINATOR)
+        search.value_from(0, first)
+        assert len(search._memo) == size, (text, name, first)
+    for text, size in (("C6", 25), ("P3+C6", 96)):
+        search = ForcedGameSolver(from_shorthand(text), ExtremalStaller(),
+                                  Player.STALLER)
+        search.value_from(0, Player.DOMINATOR)
+        assert len(search._memo) == size, text

@@ -8,6 +8,16 @@ of (``U``, mover), and every played set that reaches the same ``U`` shares
 one table entry. Dominator minimizes and Staller maximizes the number of
 moves in the completed game. All tie-breaks are lowest vertex index, so
 values and principal variations are reproducible.
+
+Two exact reductions keep the search small. Every legal move marks its
+unmarked witness, so a non-terminal value lies in ``[1, |U|]``, and a window
+outside that bracket is cut off at once. And a graph automorphism maps a
+state to one of equal value, so table entries are shared per automorphism
+orbit of ``U`` (Allis 1994): on a graph of more than 8 vertices on which at
+least ``n`` automorphisms are found (the search stops at ``2n``), the table
+keys on the least image of ``U`` under them. When those form the whole
+group, as a cycle's ``2n`` rotations and reflections do, one entry serves
+the whole orbit; otherwise it serves the images under the ones found.
 """
 
 from __future__ import annotations
@@ -15,10 +25,11 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from operator import or_
 
 from .engine import Player, check_game_domain, marked_set, playable_from
 from .errors import GameStateError, SolverCapError
-from .graph import Graph, iter_bits
+from .graph import Graph, iter_bits, vertex_set
 
 DEFAULT_SOLVER_CAP = 20
 SOLVER_CAP_ENV = "ISOGAME_SOLVER_CAP"
@@ -135,14 +146,94 @@ def _step(adj: tuple[int, ...], unmarked: int, w: int) -> int:
     return after ^ isolated
 
 
+def _automorphisms(g: Graph, limit: int) -> list[tuple[int, ...]]:
+    """Up to ``limit`` automorphisms of ``g``, each as the tuple of vertex
+    images, the identity first.
+
+    Backtracking assigns images in BFS order, so each vertex after the first
+    of its component maps to a neighbor of its BFS parent's image, and only
+    within its class of (degree, sorted neighbor degrees). A candidate is
+    kept when it matches the adjacency to every vertex already mapped.
+    """
+    n, adj, degrees = g.n, g.adj, g.degrees
+    cls = [(degrees[v], sorted(degrees[u] for u in iter_bits(adj[v])))
+           for v in range(n)]
+    same = [vertex_set(u for u in range(n) if cls[u] == cls[v])
+            for v in range(n)]
+    order: list[int] = []
+    parent = [-1] * n
+    seen = 0
+    for root in range(n):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for u in iter_bits(adj[v] & ~seen):
+                seen |= 1 << u
+                parent[u] = v
+                order.append(u)
+    image = [0] * n
+    found: list[tuple[int, ...]] = []
+
+    def extend(i: int, domain: int, taken: int) -> bool:
+        if i == n:
+            found.append(tuple(image))
+            return len(found) >= limit
+        v = order[i]
+        mapped = 0
+        for u in iter_bits(adj[v] & domain):
+            mapped |= 1 << image[u]
+        candidates = same[v] & ~taken
+        if parent[v] != -1:
+            candidates &= adj[image[parent[v]]]
+        for w in iter_bits(candidates):
+            if adj[w] & taken == mapped:
+                image[v] = w
+                if extend(i + 1, domain | 1 << v, taken | 1 << w):
+                    return True
+        return False
+
+    extend(0, 0, 0)
+    return found
+
+
+def _image_tables(autos: list[tuple[int, ...]], n: int
+                  ) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per 8-bit chunk of a vertex set, each chunk value's images under
+    ``autos``; an image of a set is the OR of its chunks' images."""
+    tables = []
+    for base in range(0, n, 8):
+        rows: list[tuple[int, ...]] = [(0,) * len(autos)]
+        for value in range(1, 1 << min(8, n - base)):
+            low = value & -value
+            bit = base + low.bit_length() - 1
+            rows.append(tuple(rest | 1 << sigma[bit] for rest, sigma
+                              in zip(rows[value ^ low], autos)))
+        tables.append(tuple(rows))
+    return tuple(tables)
+
+
 class Solver:
     """Alpha-beta minimax with a transposition table, for one graph.
 
     The search runs on (unmarked set, mover) states. One table serves both
-    starts: entries are keyed by ``unmarked << 1 | dominator_to_move`` and
-    carry a bound flag, so a value found under a cut window is never read
-    back as exact (Knuth & Moore 1975). The public methods take a played
-    set and convert it to its unmarked set once, through ``cache``.
+    starts: entries are keyed by ``key << 1 | dominator_to_move`` and carry
+    a bound flag, so a value found under a cut window is never read back as
+    exact (Knuth & Moore 1975). The key is the unmarked set itself, or the
+    least image of it under up to ``2n`` automorphisms found in
+    ``__init__``, so that entries are shared per automorphism orbit. The
+    orbit key is kept only when ``n > 8`` (below that, one 8-bit chunk
+    table of images already holds as many entries as the state space) and
+    at least ``n`` automorphisms were found (a smaller group saves too few
+    entries to repay the key). Before the table is probed, a non-terminal
+    state whose bracket ``[1, |U|]`` lies outside the window returns the
+    nearer end, ``|U|`` when ``|U| <= alpha`` or 1 when ``beta <= 1``, and
+    stores nothing. The public methods take a played set and convert it to
+    its unmarked set once, through ``cache``.
     """
 
     def __init__(self, g: Graph):
@@ -151,6 +242,8 @@ class Solver:
         self.cache = StateCache(g)
         self._table: dict[int, tuple[int, int]] = {}
         self._hits = 0
+        autos = _automorphisms(g, 2 * g.n) if g.n > 8 else []
+        self._images = _image_tables(autos, g.n) if len(autos) >= g.n else None
 
     @property
     def stats(self) -> TableStats:
@@ -172,7 +265,15 @@ class Solver:
         """:meth:`value` on the unmarked set, with the same window contract."""
         if not unmarked:
             return 0
-        key = unmarked << 1 | dom
+        size = unmarked.bit_count()
+        if size <= alpha:
+            return size
+        if beta <= 1:
+            return 1
+        if self._images is None:
+            key = unmarked << 1 | dom
+        else:
+            key = self._canonical(unmarked) << 1 | dom
         entry = self._table.get(key)
         if entry is not None:
             flag, stored = entry
@@ -208,6 +309,14 @@ class Solver:
         else:
             self._table[key] = (_EXACT, best)
         return best
+
+    def _canonical(self, unmarked: int) -> int:
+        """Least image of ``unmarked`` under the automorphisms kept."""
+        tables = self._images
+        images = tables[0][unmarked & 255]
+        for shift in range(8, self.graph.n, 8):
+            images = map(or_, images, tables[shift >> 3][unmarked >> shift & 255])
+        return min(images)
 
     def _best_move(self, unmarked: int, dom: bool) -> int:
         if not unmarked:

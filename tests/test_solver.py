@@ -1,9 +1,10 @@
 """Exact solver: point values, principal variations, bound-flag table,
-oracle parity."""
+window contract, orbit-keyed table, oracle parity."""
 
 import gc
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +14,11 @@ from isogame.errors import GameStateError, GraphDomainError, SolverCapError
 from isogame.families import (complete, cycle, from_shorthand, path,
                               random_connected)
 from isogame import lab, strategies
-from isogame.graph import vertex_set, vertices_of
-from isogame.solver import (_EXACT, _LOWER, _UPPER, Solver, _step, cp_gap,
-                            solve, solve_both, solver_cap_from_env)
+from isogame.graph import Graph, vertex_set, vertices_of
+from isogame.graph6 import parse_graph6
+from isogame.solver import (_EXACT, _LOWER, _UPPER, Solver, _automorphisms,
+                            _step, cp_gap, solve, solve_both,
+                            solver_cap_from_env)
 
 P5 = path(5)
 
@@ -162,12 +165,173 @@ def test_step_matches_marked_set_along_random_playouts(spec):
 
 
 def test_c18_table_holds_one_entry_per_unmarked_state():
-    """Played sets that reach the same unmarked set share an entry: C18's
-    two starts fill 159530 entries when keyed on the played set."""
+    """Played sets that reach the same unmarked set share an entry, and so
+    do rotations and reflections of it: C18's two starts fill 159530
+    entries keyed on the played set and 19796 keyed on the unmarked set."""
     solver = Solver(cycle(18))
     assert solver.value(0, Player.DOMINATOR) == 11
     assert solver.value(0, Player.STALLER) == 11
-    assert solver.stats.states <= 159530 // 4
+    assert solver.stats.states <= 19796 // 10
+
+
+def test_value_honours_every_window():
+    """Under any window a result inside it is exact, one at or below alpha
+    an upper bound and one at or above beta a lower bound, from a fresh
+    table and from one shared with every earlier window."""
+    rng = random.Random(17)
+    for _ in range(6):
+        g = random_connected(rng.randint(3, 7), 0.5, 1, seed=rng.random())
+        reaching = sorted(_played_set_reaching(g).values())
+        shared = Solver(g)
+        for played in rng.sample(reaching, min(4, len(reaching))):
+            for mover in (Player.DOMINATOR, Player.STALLER):
+                exact = oracles.brute_solve_from(g, set(vertices_of(played)), mover)
+                for alpha in range(-1, g.n + 1):
+                    for beta in range(alpha + 1, g.n + 2):
+                        for solver in (shared, Solver(g)):
+                            got = solver.value(played, mover, alpha, beta)
+                            if got <= alpha:
+                                assert exact <= got
+                            elif got >= beta:
+                                assert exact >= got
+                            else:
+                                assert got == exact
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+def _cube(d):
+    return Graph(1 << d, [(a, a ^ 1 << b) for a in range(1 << d)
+                          for b in range(d) if a < a ^ 1 << b])
+
+
+def _paley17():
+    residues = {x * x % 17 for x in range(1, 17)}
+    return Graph(17, [(a, b) for a in range(17) for b in range(a + 1, 17)
+                      if (b - a) % 17 in residues])
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _image(sigma, mask):
+    return vertex_set(sigma[v] for v in vertices_of(mask))
+
+
+def _replays_under_the_oracle(g, moves):
+    played = set()
+    for v in moves:
+        assert v in oracles.legal_moves(g, played)
+        played.add(v)
+    return not oracles.legal_moves(g, played)
+
+
+SYMMETRIC = {
+    **{f"C{k}": cycle(k) for k in range(9, 13)},
+    "Petersen": _petersen(),
+    "Q4": _cube(4),
+    "C6+C6": from_shorthand("C6+C6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_canonical_key_is_invariant_under_the_automorphisms_found(name):
+    """The key of ``U`` is its least image under the automorphisms found,
+    so it merges only automorphic states. Where the found set is closed
+    under composition, as a cycle's whole dihedral group is, every image of
+    ``U`` has the same key; the 2n found on Petersen (120 automorphisms) or
+    Q4 (384) need not be. Relabelled copies solve to the same values along
+    lines the oracle accepts."""
+    base = SYMMETRIC[name]
+    values = solve_both(base)
+    for seed in (None, 1, 2):
+        g = base if seed is None else _relabelled(base, seed)
+        solver = Solver(g)
+        autos = _automorphisms(g, 2 * g.n)
+        assert solver._images is not None and autos[0] == tuple(range(g.n))
+        edges = {frozenset(e) for e in g.edges}
+        for sigma in autos:
+            assert sorted(sigma) == list(range(g.n))
+            assert {frozenset((sigma[u], sigma[v])) for u, v in g.edges} == edges
+        group = {tuple(s[t[v]] for v in range(g.n))
+                 for s in autos for t in autos} == set(autos)
+        assert len(autos) == 2 * g.n
+        assert group or name in ("Petersen", "Q4")
+        rng = random.Random(g.n)
+        for _ in range(10):
+            unmarked = g.full_mask
+            while unmarked:
+                key = solver._canonical(unmarked)
+                assert key == min(_image(sigma, unmarked) for sigma in autos)
+                if group:
+                    for sigma in autos:
+                        assert solver._canonical(_image(sigma, unmarked)) == key
+                w = rng.choice(vertices_of(playable_from(g, unmarked)))
+                unmarked = _step(g.adj, unmarked, w)
+        for first, value in zip((Player.DOMINATOR, Player.STALLER), values):
+            line = solver.game_value(first)
+            assert line.total_moves == value
+            assert _replays_under_the_oracle(g, line.principal_variation)
+
+
+def test_symmetry_is_kept_past_8_vertices_with_n_automorphisms(corpus_graphs):
+    """A graph keys on orbits only when n > 8 and at least n automorphisms
+    are found; the search stops at 2n, and finds a whole group uncapped."""
+    small = corpus_graphs + [cycle(k) for k in range(3, 9)] + [_cube(3)]
+    assert all(Solver(g)._images is None for g in small)
+    pinned = Path(__file__).parents[1] / "perfbench" / "expected" / "random.txt"
+    rows = [line.split() for line in pinned.read_text().splitlines() if line.strip()]
+    assert len(rows) == 4
+    for _, text, *_ in rows:
+        g = parse_graph6(text)
+        assert g.n > 8 and Solver(g)._images is None
+    for n in range(9, 21):
+        assert len(Solver(cycle(n))._images[0][0]) == 2 * n
+    paley = _paley17()
+    autos = _automorphisms(paley, 10 ** 6)
+    assert len(set(autos)) == 136
+    edges = {frozenset(e) for e in paley.edges}
+    assert all({frozenset((s[u], s[v])) for u, v in paley.edges} == edges
+               for s in autos)
+
+
+@pytest.mark.parametrize("name", ["C9", "C10", "Petersen"])
+def test_orbit_keyed_entries_hold_for_the_oracle(name):
+    """Each stored key is a reachable unmarked set (an automorphic image of
+    one is reachable), and entries on small sets hold for the oracle's
+    exact value under their flag."""
+    g = SYMMETRIC[name]
+    reaching = _played_set_reaching(g)
+    solver = Solver(g)
+    assert solver._images is not None
+    solver.game_value(Player.DOMINATOR)
+    solver.game_value(Player.STALLER)
+    assert {key >> 1 for key in solver._table} <= set(reaching)
+    rng = random.Random(g.n)
+    by_flag = {flag: [] for flag in (_EXACT, _LOWER, _UPPER)}
+    for key, (flag, stored) in sorted(solver._table.items()):
+        if (key >> 1).bit_count() <= 5:
+            by_flag[flag].append((key, stored))
+    for flag, entries in by_flag.items():
+        for key, stored in rng.sample(entries, min(4, len(entries))):
+            mover = Player.DOMINATOR if key & 1 else Player.STALLER
+            played = reaching[key >> 1]
+            exact = oracles.brute_solve_from(g, set(vertices_of(played)), mover)
+            if flag == _EXACT:
+                assert stored == exact
+            elif flag == _LOWER:
+                assert stored <= exact
+            else:
+                assert stored >= exact
+    assert by_flag[_EXACT]
 
 
 def test_solve_both_shares_one_table():

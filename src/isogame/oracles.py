@@ -121,8 +121,11 @@ def brute_solve(g: Graph, first_mover: Player) -> int:
 
 
 def brute_forced_value(g: Graph, strategy: Strategy, fixed_role: Player,
-                       first_mover: Player = Player.DOMINATOR) -> int:
-    """Memo-free game length with ``fixed_role`` forced to ``strategy``.
+                       first_mover: Player = Player.DOMINATOR,
+                       history: tuple[int, ...] = ()) -> int:
+    """Memo-free game length with ``fixed_role`` forced to ``strategy``,
+    counted from the position the legal move sequence ``history`` reaches
+    (by default the empty one).
 
     The free side ranges over :func:`legal_moves` to its own objective
     (Dominator minimizes, Staller maximizes); the forced side plays
@@ -145,7 +148,8 @@ def brute_forced_value(g: Graph, strategy: Strategy, fixed_role: Player,
         children = [1 + value(history + (v,), mover.other) for v in moves]
         return min(children) if mover is Player.DOMINATOR else max(children)
 
-    return value((), first_mover)
+    history = tuple(history)
+    return value(history, first_mover if len(history) % 2 == 0 else first_mover.other)
 
 
 def _is_isolating(g: Graph, members: set[int]) -> bool:

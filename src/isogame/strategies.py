@@ -20,7 +20,8 @@ from .errors import (GameStateError, IllegalMoveError, ProtocolViolationError,
                      SnapshotDomainError, StrategyDomainError)
 from .graph import (Graph, closed_neighborhood, induced_subgraph, iter_bits,
                     open_neighborhood, vertex_set, vertices_of)
-from .solver import Solver, StateCache, _step, check_solvable
+from .solver import (_EXACT, _LOWER, _UNBOUNDED, _UPPER, Solver, StateCache,
+                     _step, check_solvable)
 
 STAGE_BURST = 1
 STAGE_TRICKLE = 2
@@ -29,9 +30,16 @@ STAGE_TRICKLE = 2
 class Strategy:
     """Deterministic choice rule mapping a game state to a playable vertex.
 
-    ``needs_last_move`` marks strategies whose choice depends on the
-    opponent's previous move (they read ``history[-1]``); everything else
-    is a pure function of the played set.
+    A strategy's rule is :meth:`choose_from`, called with the graph, the
+    unmarked set ``U``, the mover, the opponent's previous move ``last``
+    (None when no move was made) and the played set; :meth:`choose` is the
+    same rule on a :class:`GameState` and its move history. Choices are
+    functions of ``U``, the mover and ``last``, not of the played set, so
+    the forced search shares one memo entry among played sets with the
+    same ``U``. ``needs_last_move`` marks a strategy that reads ``last``.
+    ``reads_played`` marks the exceptions that read the played set itself:
+    ``RandomStrategy`` seeds on it, and ``BestResponseStrategy`` hands it
+    to its search.
 
     A strategy that searches defines ``_new_search(g)`` and reaches the
     search through ``_search_for``, which keeps it for the graph last played
@@ -41,12 +49,18 @@ class Strategy:
 
     name = "strategy"
     needs_last_move = False
+    reads_played = False
 
     def __init__(self):
         self._pending_note: str | None = None
         self._search: tuple[Graph, object] | None = None
 
     def choose(self, state: GameState, history: tuple[int, ...]) -> int:
+        return self.choose_from(state.graph, state.unmarked(), state.mover,
+                                history[-1] if history else None, state.played)
+
+    def choose_from(self, g: Graph, unmarked: int, mover: Player,
+                    last: int | None, played: int) -> int:
         raise NotImplementedError
 
     def _search_for(self, g: Graph):
@@ -62,15 +76,13 @@ class Strategy:
         return note
 
 
-def _mark_gains(g: Graph, played: int, within: int = -1) -> list[tuple[int, int]]:
+def _mark_gains(g: Graph, unmarked: int, within: int = -1) -> list[tuple[int, int]]:
     """(vertex, new-mark count) for every playable vertex in ``within``,
-    ascending index.
+    ascending index, from the unmarked set ``unmarked``.
 
-    The unmarked set ``U`` of ``played`` is computed once; a vertex's gain
-    is ``|U|`` minus the size of the unmarked set it steps ``U`` to, so no
-    candidate re-marks the graph from scratch.
+    A vertex's gain is ``|U|`` minus the size of the unmarked set it steps
+    ``U`` to, so no candidate re-marks the graph from scratch.
     """
-    unmarked = marked_set(g, played).unmarked
     playable = playable_from(g, unmarked) & within
     if playable == 0:
         raise GameStateError("no moves in a terminal state")
@@ -87,49 +99,51 @@ def _first_max(gains: list[tuple[int, int]]) -> int:
 
 def greedy_move(state: GameState) -> int:
     """Playable vertex marking the most new vertices; ties to lowest index."""
-    return _first_max(_mark_gains(state.graph, state.played))
+    return GreedyDominator().choose(state, ())
 
 
 def modified_greedy_move(state: GameState) -> int:
     """Greedy, preferring non-leaves among the maximizers when any exist."""
-    gains = _mark_gains(state.graph, state.played)
-    best = max(gain for _, gain in gains)
-    maximizers = [v for v, gain in gains if gain == best]
-    for v in maximizers:
-        if state.graph.degree(v) >= 2:
-            return v
-    return maximizers[0]
+    return ModifiedGreedyDominator().choose(state, ())
 
 
 class GreedyDominator(Strategy):
     name = "greedy"
 
-    def choose(self, state, history):
-        return greedy_move(state)
+    def choose_from(self, g, unmarked, mover, last, played):
+        return _first_max(_mark_gains(g, unmarked))
 
 
 class ModifiedGreedyDominator(Strategy):
     name = "modified-greedy"
 
-    def choose(self, state, history):
-        return modified_greedy_move(state)
+    def choose_from(self, g, unmarked, mover, last, played):
+        gains = _mark_gains(g, unmarked)
+        best = max(gain for _, gain in gains)
+        maximizers = [v for v, gain in gains if gain == best]
+        for v in maximizers:
+            if g.degree(v) >= 2:
+                return v
+        return maximizers[0]
 
 
 class RandomStrategy(Strategy):
     """Uniform choice among playable vertices, derandomized per position so
-    simulations are reproducible and memoization-safe."""
+    simulations are reproducible and memoization-safe. The position is the
+    played set, which seeds the choice."""
 
     name = "random"
+    reads_played = True
 
     def __init__(self, seed: int):
         super().__init__()
         self.seed = seed
 
-    def choose(self, state, history):
-        playable = vertices_of(state.playable())
+    def choose_from(self, g, unmarked, mover, last, played):
+        playable = vertices_of(playable_from(g, unmarked))
         if not playable:
             raise GameStateError("no moves in a terminal state")
-        rng = random.Random(self.seed * (1 << state.graph.n) + state.played)
+        rng = random.Random(self.seed * (1 << g.n) + played)
         return rng.choice(playable)
 
 
@@ -141,8 +155,8 @@ class OptimalStrategy(Strategy):
     def _new_search(self, g):
         return Solver(g)
 
-    def choose(self, state, history):
-        return self._search_for(state.graph).best_move(state.played, state.mover)
+    def choose_from(self, g, unmarked, mover, last, played):
+        return self._search_for(g)._best_move(unmarked, mover is Player.DOMINATOR)
 
 
 # -- extremal Staller --------------------------------------------------------
@@ -185,43 +199,41 @@ class ExtremalStaller(Strategy):
         # Component kinds, and a solver per vertex mask, built when first asked.
         return tuple(_component_kind(g, comp) for comp in g.components), {}
 
-    def _optimal_within(self, state: GameState, members: int) -> int:
-        """Staller's optimal move in the subgraph induced on ``members``."""
-        solvers = self._search_for(state.graph)[1]
+    def _optimal_within(self, g: Graph, unmarked: int, members: int) -> int:
+        """Staller's optimal move in the subgraph induced on ``members``, a
+        union of components, whose local unmarked set is ``unmarked & members``."""
+        solvers = self._search_for(g)[1]
         entry = solvers.get(members)
         if entry is None:
-            sub, originals = induced_subgraph(state.graph, members)
+            sub, originals = induced_subgraph(g, members)
             entry = solvers[members] = (Solver(sub), originals)
         solver, originals = entry
-        local_played = vertex_set(originals.index(v)
-                                  for v in vertices_of(state.played & members))
-        return originals[solver.best_move(local_played, Player.STALLER)]
+        local = vertex_set(originals.index(v) for v in iter_bits(unmarked & members))
+        return originals[solver._best_move(local, False)]
 
-    def choose(self, state, history):
-        g = state.graph
+    def choose_from(self, g, unmarked, mover, last, played):
         kinds = self._search_for(g)[0]
-        if state.mover is not Player.STALLER:
+        if mover is not Player.STALLER:
             raise StrategyDomainError("the extremal strategy plays Staller only")
-        if not history:
+        if last is None:
             raise StrategyDomainError(
                 "the extremal strategy answers a Dominator move; none was made")
-        last = history[-1]
         comp_index = next(i for i, comp in enumerate(g.components)
                           if comp >> last & 1)
         comp = g.components[comp_index]
-        in_component = state.playable() & comp
+        in_component = playable_from(g, unmarked) & comp
         if in_component == 0:
             self._flag("component finished; fell back to the global optimal move")
-            return self._optimal_within(state, g.full_mask)
+            return self._optimal_within(g, unmarked, g.full_mask)
         kind = kinds[comp_index]
         if kind in ("P3", "C3"):
-            return _first_max(_mark_gains(g, state.played, comp))
+            return _first_max(_mark_gains(g, unmarked, comp))
         if kind == "C6":
             antipode = next(v for v in vertices_of(comp)
                             if g.distance(last, v) == 3)
             if in_component >> antipode & 1:
                 return antipode
-        return self._optimal_within(state, comp)
+        return self._optimal_within(g, unmarked, comp)
 
 
 # -- simulation and traces ---------------------------------------------------
@@ -351,17 +363,30 @@ def stage_snapshot(trace: GameTrace) -> StageSnapshot | None:
 # -- best response against a fixed strategy ---------------------------------
 
 class ForcedGameSolver:
-    """Minimax with one side's moves forced by a strategy.
+    """Alpha-beta minimax with one side's moves forced by a strategy.
 
     The free side plays to its own objective (Dominator minimizes, Staller
-    maximizes the total move count). The search carries the unmarked set
-    ``U`` beside the played set and steps it with :func:`solver._step`, so
-    no node re-marks the graph. The memo still keys on the played set, not
-    on ``U``: a forced strategy sees the whole position, and one that reads
-    more than ``U`` (``RandomStrategy`` seeds on the played set) can move
-    differently from two played sets with the same ``U``. For strategies
-    that read the opponent's previous move the key also carries it;
-    everything else keys on (played set, mover) alone.
+    maximizes the total move count). The search runs on the unmarked set
+    ``U``, stepped with :func:`solver._step`; the played set rides along as
+    ``played | 1 << v`` for the strategies that read it, and below
+    :meth:`value_from` no node re-marks the graph. The memo keys on
+    ``(U << 1 | dominator_to_move, last)``: a strategy's choice is a
+    function of ``U``, the mover and the opponent's previous move ``last``,
+    which fills the second slot only at forced nodes of a
+    ``needs_last_move`` strategy and is None elsewhere. For a
+    ``reads_played`` strategy the played set takes the place of ``U``. The
+    key is ``U`` itself, never :class:`Solver`'s automorphism-orbit key:
+    the strategies break ties by lowest index, which an automorphism does
+    not preserve, so automorphic states can have different forced values.
+
+    Entries carry ``solver``'s bound flags, as in :class:`Solver` (Knuth &
+    Moore 1975): a free Dominator lowers ``beta``, a free Staller raises
+    ``alpha``, and a forced node passes ``(alpha - 1, beta - 1)`` to its one
+    child. Under a window ``(alpha, beta)`` a result strictly inside it is
+    exact, one at or below ``alpha`` an upper bound and one at or above
+    ``beta`` a lower bound; a non-terminal state whose bracket ``[1, |U|]``
+    lies outside the window returns the nearer end and stores nothing. The
+    public methods search under the full window and return exact values.
     """
 
     def __init__(self, g: Graph, strategy: Strategy, fixed_role: Player):
@@ -369,44 +394,73 @@ class ForcedGameSolver:
         self.graph = g
         self.strategy = strategy
         self.fixed_role = fixed_role
-        self._memo: dict[tuple[int, bool, int | None], int] = {}
-
-    def _state(self, played: int, mover: Player) -> GameState:
-        first = mover if played.bit_count() % 2 == 0 else mover.other
-        return GameState(self.graph, played, first)
+        self._memo: dict[tuple[int, int | None], tuple[int, int]] = {}
 
     def value_from(self, played: int, mover: Player, last: int | None = None,
                    unmarked: int | None = None) -> int:
         """Forced game length from ``played``; ``unmarked`` is its unmarked
         set when the caller has it, and is computed from ``played`` if not."""
-        remember_last = mover is self.fixed_role and self.strategy.needs_last_move
-        key = (played, mover is Player.DOMINATOR, last if remember_last else None)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        g = self.graph
         if unmarked is None:
-            unmarked = marked_set(g, played).unmarked
-        if unmarked == 0:
-            result = 0
-        elif mover is self.fixed_role:
-            v = self.strategy.choose(self._state(played, mover),
-                                     () if last is None else (last,))
+            unmarked = marked_set(self.graph, played).unmarked
+        return self._search(unmarked, played, mover, last, -1, _UNBOUNDED)
+
+    def _search(self, unmarked: int, played: int, mover: Player, last: int | None,
+                alpha: int, beta: int) -> int:
+        """:meth:`value_from` under the window ``(alpha, beta)``."""
+        if not unmarked:
+            return 0
+        size = unmarked.bit_count()
+        if size <= alpha:
+            return size
+        if beta <= 1:
+            return 1
+        strategy = self.strategy
+        forced = mover is self.fixed_role
+        dom = mover is Player.DOMINATOR
+        key = ((played if strategy.reads_played else unmarked) << 1 | dom,
+               last if forced and strategy.needs_last_move else None)
+        entry = self._memo.get(key)
+        if entry is not None:
+            flag, stored = entry
+            if flag == _EXACT:
+                return stored
+            if flag == _LOWER:
+                alpha = max(alpha, stored)
+            else:
+                beta = min(beta, stored)
+            if alpha >= beta:
+                return stored
+        alpha_in, beta_in = alpha, beta
+        g = self.graph
+        adj = g.adj
+        search = self._search
+        other = mover.other
+        if forced:
+            v = strategy.choose_from(g, unmarked, mover, last, played)
             if not playable_from(g, unmarked) >> v & 1:
-                raise ProtocolViolationError(self.strategy.name, v, "not-playable")
-            result = 1 + self.value_from(played | 1 << v, mover.other, v,
-                                         _step(g.adj, unmarked, v))
+                raise ProtocolViolationError(strategy.name, v, "not-playable")
+            best = 1 + search(_step(adj, unmarked, v), played | 1 << v, other, v,
+                              alpha - 1, beta - 1)
         else:
-            dom = mover is Player.DOMINATOR
             best = None
             for v in iter_bits(playable_from(g, unmarked)):
-                child = 1 + self.value_from(played | 1 << v, mover.other, v,
-                                            _step(g.adj, unmarked, v))
+                child = 1 + search(_step(adj, unmarked, v), played | 1 << v, other, v,
+                                   alpha - 1, beta - 1)
                 if best is None or (child < best if dom else child > best):
                     best = child
-            result = best
-        self._memo[key] = result
-        return result
+                    if dom:
+                        beta = min(beta, best)
+                    else:
+                        alpha = max(alpha, best)
+                    if alpha >= beta:
+                        break
+        if best <= alpha_in:
+            self._memo[key] = (_UPPER, best)
+        elif best >= beta_in:
+            self._memo[key] = (_LOWER, best)
+        else:
+            self._memo[key] = (_EXACT, best)
+        return best
 
     def free_side_move(self, played: int, mover: Player, last: int | None = None) -> int:
         """Lowest-index optimal move for the non-forced side."""
@@ -418,8 +472,8 @@ class ForcedGameSolver:
             raise GameStateError("no optimal move in a terminal state")
         target = self.value_from(played, mover, last, unmarked)
         for v in iter_bits(playable_from(g, unmarked)):
-            if 1 + self.value_from(played | 1 << v, mover.other, v,
-                                   _step(g.adj, unmarked, v)) == target:
+            if 1 + self._search(_step(g.adj, unmarked, v), played | 1 << v,
+                                mover.other, v, -1, _UNBOUNDED) == target:
                 return v
         raise AssertionError("some child must attain the optimum")
 
@@ -436,6 +490,7 @@ class BestResponseStrategy(Strategy):
     opponent strategy (the opponent in simulation should match it)."""
 
     name = "best-response"
+    reads_played = True
 
     def __init__(self, opponent: Strategy, role: Player):
         super().__init__()
@@ -445,9 +500,7 @@ class BestResponseStrategy(Strategy):
     def _new_search(self, g):
         return ForcedGameSolver(g, self.opponent, self.role.other)
 
-    def choose(self, state, history):
-        if state.mover is not self.role:
+    def choose_from(self, g, unmarked, mover, last, played):
+        if mover is not self.role:
             raise StrategyDomainError(f"best-response built for {self.role}")
-        last = history[-1] if history else None
-        return self._search_for(state.graph).free_side_move(
-            state.played, state.mover, last)
+        return self._search_for(g).free_side_move(played, mover, last)

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +85,30 @@ def test_simulate_reports_trace(capsys):
     assert code == 0
     assert out.strip().endswith("t=4")
     assert "stage" in out
+
+
+def _pinned_simulations():
+    """(argv, stdout, stderr, exit code) per block of the pinned traces, each
+    captured before the forced search keyed on the unmarked set: a
+    ``$ isogame`` line, its stdout, stderr lines prefixed ``! ``, ``exit N``."""
+    blocks = []
+    text = (Path(__file__).parent / "data" / "simulate_traces.txt").read_text()
+    for block in text.split("$ isogame ")[1:]:
+        command, *lines = block.splitlines()
+        *output, code = lines
+        out = "".join(line + "\n" for line in output if not line.startswith("! "))
+        err = "".join(line[2:] + "\n" for line in output if line.startswith("! "))
+        blocks.append(pytest.param(command.split(), out, err,
+                                   int(code.removeprefix("exit ")), id=command))
+    return blocks
+
+
+@pytest.mark.parametrize("argv, out, err, code", _pinned_simulations())
+def test_simulate_traces_are_pinned(capsys, argv, out, err, code):
+    """Greedy, modified greedy, random (seed rule) and optimal Dominators
+    against Staller's best response, and greedy and random against the
+    extremal Staller (fallback notes), print byte-identical traces."""
+    assert run(capsys, *argv) == (code, out, err)
 
 
 def test_simulate_unknown_strategy_lists_names(capsys):

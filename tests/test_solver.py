@@ -400,9 +400,9 @@ def test_cap_env_override(monkeypatch):
 def test_library_searches_read_the_cap_from_the_environment(monkeypatch):
     """Every search honours ISOGAME_SOLVER_CAP when it is built; none takes
     a cap argument."""
-    g = path(10)
+    g = path(7)
     assert solve(g).total_moves == oracles.brute_solve(g, Player.DOMINATOR)
-    monkeypatch.setenv("ISOGAME_SOLVER_CAP", "8")
+    monkeypatch.setenv("ISOGAME_SOLVER_CAP", "6")
     greedy = strategies.GreedyDominator()
     searches = [
         lambda: solve_both(g),
@@ -416,7 +416,7 @@ def test_library_searches_read_the_cap_from_the_environment(monkeypatch):
             strategies.BestResponseStrategy(greedy, Player.STALLER)),
     ]
     for search in searches:
-        with pytest.raises(SolverCapError, match="solver cap 8"):
+        with pytest.raises(SolverCapError, match="solver cap 6"):
             search()
 
 

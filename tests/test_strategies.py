@@ -12,7 +12,7 @@ from isogame.families import (complete, cycle, disjoint_union, from_shorthand,
                               path, random_connected)
 from isogame.graph import (Graph, is_independent, is_packing, iter_bits,
                            vertex_set, vertices_of)
-from isogame.solver import Solver, StateCache, solve
+from isogame.solver import Solver, StateCache, _automorphisms, _step, solve
 from isogame.strategies import (STAGE_BURST, STAGE_TRICKLE,
                                 BestResponseStrategy, ExtremalStaller,
                                 ForcedGameSolver, GreedyDominator,
@@ -72,10 +72,10 @@ def test_mark_gains_match_marked_set_along_playouts():
                 for within in (-1, *g.components):
                     expected = _gains_from_scratch(g, state.played, within)
                     if expected:
-                        assert _mark_gains(g, state.played, within) == expected
+                        assert _mark_gains(g, state.unmarked(), within) == expected
                     else:
                         with pytest.raises(GameStateError):
-                            _mark_gains(g, state.played, within)
+                            _mark_gains(g, state.unmarked(), within)
                 state = state.play(rng.choice(vertices_of(state.playable())))
 
 
@@ -355,7 +355,7 @@ def test_forced_illegal_move_is_a_protocol_violation():
     class Stubborn(Strategy):
         name = "stubborn"
 
-        def choose(self, state, history):
+        def choose_from(self, g, unmarked, mover, last, played):
             return 0
 
     g = path(5)  # vertex 0 stops being playable once played
@@ -365,35 +365,173 @@ def test_forced_illegal_move_is_a_protocol_violation():
         oracles.brute_forced_value(g, Stubborn(), Player.DOMINATOR)
 
 
-# (graph, strategy, first mover) -> entries in the played-set memo
+def _histories(g):
+    """Every played set legal play reaches, mapped to a move sequence that
+    reaches it, found by breadth-first search over legal moves."""
+    histories = {0: ()}
+    frontier = [0]
+    while frontier:
+        following = []
+        for played in frontier:
+            for v in iter_bits(playable_from(g, marked_set(g, played).unmarked)):
+                child = played | 1 << v
+                if child not in histories:
+                    histories[child] = histories[played] + (v,)
+                    following.append(child)
+        frontier = following
+    return histories
+
+
+# (graph, strategy, first mover) -> entries in the forced search's memo
 FORCED_MEMO_SIZES = {
-    ("C6", "greedy", Player.DOMINATOR): 13, ("C6", "greedy", Player.STALLER): 25,
-    ("C6", "modified-greedy", Player.DOMINATOR): 13,
-    ("C6", "modified-greedy", Player.STALLER): 25,
-    ("C6", "random", Player.DOMINATOR): 15, ("C6", "random", Player.STALLER): 33,
-    ("P5", "greedy", Player.DOMINATOR): 4, ("P5", "greedy", Player.STALLER): 16,
-    ("P5", "modified-greedy", Player.DOMINATOR): 4,
-    ("P5", "modified-greedy", Player.STALLER): 18,
-    ("P5", "random", Player.DOMINATOR): 11, ("P5", "random", Player.STALLER): 18,
-    ("P3+C6", "greedy", Player.DOMINATOR): 44, ("P3+C6", "greedy", Player.STALLER): 107,
-    ("P3+C6", "modified-greedy", Player.DOMINATOR): 56,
-    ("P3+C6", "modified-greedy", Player.STALLER): 118,
-    ("P3+C6", "random", Player.DOMINATOR): 82, ("P3+C6", "random", Player.STALLER): 179,
+    ("C6", "greedy", Player.DOMINATOR): 6, ("C6", "greedy", Player.STALLER): 9,
+    ("C6", "modified-greedy", Player.DOMINATOR): 6,
+    ("C6", "modified-greedy", Player.STALLER): 9,
+    ("C6", "random", Player.DOMINATOR): 4, ("C6", "random", Player.STALLER): 9,
+    ("P5", "greedy", Player.DOMINATOR): 2, ("P5", "greedy", Player.STALLER): 5,
+    ("P5", "modified-greedy", Player.DOMINATOR): 2,
+    ("P5", "modified-greedy", Player.STALLER): 5,
+    ("P5", "random", Player.DOMINATOR): 4, ("P5", "random", Player.STALLER): 5,
+    ("P3+C6", "greedy", Player.DOMINATOR): 14, ("P3+C6", "greedy", Player.STALLER): 26,
+    ("P3+C6", "modified-greedy", Player.DOMINATOR): 14,
+    ("P3+C6", "modified-greedy", Player.STALLER): 26,
+    ("P3+C6", "random", Player.DOMINATOR): 21, ("P3+C6", "random", Player.STALLER): 38,
 }
 
 
-def test_forced_memo_keys_on_the_played_set():
-    """Stepping ``U`` leaves the memo keyed on played sets: its sizes are
-    the ones the played-set search filled."""
+def test_forced_memo_keys_on_the_unmarked_set():
+    """Greedy and modified greedy key the forced memo on reachable unmarked
+    sets, ``RandomStrategy`` on reachable played sets, and the extremal
+    Staller's keys carry the previous move at Staller nodes only."""
     strategies = {s.name: s for s in (GreedyDominator(), ModifiedGreedyDominator(),
                                       RandomStrategy(5))}
-    for (text, name, first), size in FORCED_MEMO_SIZES.items():
-        search = ForcedGameSolver(from_shorthand(text), strategies[name],
-                                  Player.DOMINATOR)
+    for text in ("C6", "P5", "P3+C6"):
+        g = from_shorthand(text)
+        histories = _histories(g)
+        unmarked_sets = {marked_set(g, played).unmarked for played in histories}
+        for name, strategy in strategies.items():
+            reached = histories if strategy.reads_played else unmarked_sets
+            for first in Player:
+                search = ForcedGameSolver(g, strategy, Player.DOMINATOR)
+                search.value_from(0, first)
+                assert len(search._memo) == FORCED_MEMO_SIZES[text, name, first]
+                for key, last in search._memo:
+                    assert key >> 1 in reached and last is None, (text, name, key)
+        search = ForcedGameSolver(g, strategies["random"], Player.DOMINATOR)
+        search.value_from(0, Player.STALLER)
+        assert any(key >> 1 not in unmarked_sets for key, _ in search._memo), text
+    # At most one entry per (U, mover) state that greedy-forced play reaches.
+    g = from_shorthand("C6+C6+C6")
+    greedy = GreedyDominator()
+    for first, size in ((Player.DOMINATOR, 491), (Player.STALLER, 1033)):
+        start = (marked_set(g, 0).unmarked, first)
+        states = {start}
+        frontier = [start]
+        while frontier:
+            unmarked, mover = frontier.pop()
+            if mover is Player.DOMINATOR:
+                moves = [greedy.choose_from(g, unmarked, mover, None, 0)]
+            else:
+                moves = iter_bits(playable_from(g, unmarked))
+            for v in moves:
+                child = (_step(g.adj, unmarked, v), mover.other)
+                if child[0] and child not in states:
+                    states.add(child)
+                    frontier.append(child)
+        search = ForcedGameSolver(g, greedy, Player.DOMINATOR)
         search.value_from(0, first)
-        assert len(search._memo) == size, (text, name, first)
-    for text, size in (("C6", 25), ("P3+C6", 96)):
-        search = ForcedGameSolver(from_shorthand(text), ExtremalStaller(),
-                                  Player.STALLER)
+        assert len(search._memo) == size <= len(states)
+    for text, size in (("C6", 11), ("P3+C6", 46)):
+        g = from_shorthand(text)
+        unmarked_sets = {marked_set(g, played).unmarked for played in _histories(g)}
+        search = ForcedGameSolver(g, ExtremalStaller(), Player.STALLER)
         search.value_from(0, Player.DOMINATOR)
         assert len(search._memo) == size, text
+        for key, last in search._memo:
+            assert key >> 1 in unmarked_sets
+            assert (last is None) == bool(key & 1), (text, key, last)
+
+
+def test_forced_search_honours_every_window():
+    """Under any window a forced result inside it is exact, one at or below
+    alpha an upper bound and one at or above beta a lower bound, from a
+    fresh memo and from one shared with every earlier window, taken in a
+    seeded order; the shared memo then still gives exact values."""
+    rng = random.Random(19)
+    for _ in range(10):
+        g = random_connected(rng.randint(3, 7), 0.5, 1, seed=rng.random())
+        histories = _histories(g)
+        sample = rng.sample(sorted(histories), min(4, len(histories)))
+        windows = [(alpha, beta) for alpha in range(-1, g.n + 1)
+                   for beta in range(alpha + 1, g.n + 2)]
+        for strategy in (GreedyDominator(), ModifiedGreedyDominator(),
+                         RandomStrategy(5)):
+            shared = ForcedGameSolver(g, strategy, Player.DOMINATOR)
+            for played in sample:
+                history = histories[played]
+                unmarked = marked_set(g, played).unmarked
+                for first in Player:
+                    exact = oracles.brute_forced_value(g, strategy, Player.DOMINATOR,
+                                                       first, history)
+                    mover = first if len(history) % 2 == 0 else first.other
+                    rng.shuffle(windows)
+                    for alpha, beta in windows:
+                        for search in (shared, ForcedGameSolver(
+                                g, strategy, Player.DOMINATOR)):
+                            got = search._search(unmarked, played, mover, None,
+                                                 alpha, beta)
+                            if got <= alpha:
+                                assert exact <= got
+                            elif got >= beta:
+                                assert exact >= got
+                            else:
+                                assert got == exact
+                    assert shared.value_from(played, mover) == exact
+
+
+def test_forced_memo_shares_unmarked_sets_and_not_orbits():
+    """Played sets with the same unmarked set share one entry and value on
+    C9 and P3+C6. Automorphic unmarked sets do not: on P7 and C8 greedy's
+    lowest-index ties give two of them different forced values, so the memo
+    keys on ``U`` itself rather than on its orbit."""
+    greedy = GreedyDominator()
+    for text in ("C9", "P3+C6"):
+        g = from_shorthand(text)
+        histories = _histories(g)
+        reaching = {}
+        for played in histories:
+            reaching.setdefault(marked_set(g, played).unmarked, []).append(played)
+        pairs = [ps[:2] for u, ps in sorted(reaching.items()) if u and len(ps) > 1]
+        assert len(pairs) >= 20, text
+        search = ForcedGameSolver(g, greedy, Player.DOMINATOR)
+        for one, other in pairs:
+            for mover in Player:
+                value = search.value_from(one, mover)
+                entries = len(search._memo)
+                assert search.value_from(other, mover) == value, (text, one, other)
+                assert len(search._memo) == entries
+        for pair in pairs[:6]:
+            for mover in Player:
+                want = search.value_from(pair[0], mover)
+                for played in pair:
+                    history = histories[played]
+                    first = mover if len(history) % 2 == 0 else mover.other
+                    assert oracles.brute_forced_value(g, greedy, Player.DOMINATOR,
+                                                      first, history) == want
+    for text, u, image, mover, values in (
+            ("P7", 0b1110101, 0b1010111, Player.DOMINATOR, (3, 4)),
+            ("C8", 0b01111101, 0b11110101, Player.STALLER, (5, 4))):
+        g = from_shorthand(text)
+        histories = _histories(g)
+        reaching = {}
+        for played in histories:
+            reaching.setdefault(marked_set(g, played).unmarked, played)
+        assert any(image == vertex_set(sigma[v] for v in iter_bits(u))
+                   for sigma in _automorphisms(g, 4 * g.n))
+        search = ForcedGameSolver(g, greedy, Player.DOMINATOR)
+        for unmarked, want in zip((u, image), values):
+            played = reaching[unmarked]
+            first = mover if len(histories[played]) % 2 == 0 else mover.other
+            assert search.value_from(played, mover) == want
+            assert oracles.brute_forced_value(g, greedy, Player.DOMINATOR, first,
+                                              histories[played]) == want

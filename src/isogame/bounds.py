@@ -182,6 +182,11 @@ def satisfies(game_value: int, bound: Fraction, strict: bool) -> bool:
     return lhs < rhs if strict else lhs <= rhs
 
 
+def largest_satisfying(bound: Fraction, strict: bool) -> int:
+    """The largest integer game value that :func:`satisfies` the bound."""
+    return (bound.numerator - strict) // bound.denominator
+
+
 def check_bound(spec: BoundSpec, facts: GraphFacts, igt: int, igts: int) -> BoundCheck:
     """Evaluate one bound against solved game values.
 

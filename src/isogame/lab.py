@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
 from .bounds import (BoundCheck, GraphFacts, bounds_by_name, check_all,
-                     check_bound)
+                     largest_satisfying)
 from .engine import Player
 from .errors import GraphDomainError, GraphFormatError, SolverCapError
 from .families import random_graph
@@ -162,7 +162,10 @@ class ConjectureScan:
 
 def scan_conjecture(entries: Iterable[CorpusEntry]) -> ConjectureScan:
     """Flag every graph with igt > 2n/3 among solvable graphs whose
-    components all have order at least 3 (others are skipped)."""
+    components all have order at least 3 (others are skipped).
+
+    The verdict is one null-window probe at ``floor(2n/3)``; the exact value
+    is searched, on the same table, only for a counterexample."""
     counterexamples = []
     skipped: list[tuple[str, str]] = []
     checked = 0
@@ -170,10 +173,10 @@ def scan_conjecture(entries: Iterable[CorpusEntry]) -> ConjectureScan:
         if any(comp.bit_count() < 3 for comp in g.components):
             skipped.append((gid, "has a component of order < 3"))
             continue
-        igt = Solver(g).value(0, Player.DOMINATOR)
+        solver = Solver(g)
         checked += 1
-        if 3 * igt > 2 * g.n:
-            counterexamples.append((gid, g.n, igt))
+        if not solver.at_most(Player.DOMINATOR, 2 * g.n // 3):
+            counterexamples.append((gid, g.n, solver.value(0, Player.DOMINATOR)))
     return ConjectureScan(counterexamples=counterexamples, checked=checked,
                           skipped=skipped)
 
@@ -229,7 +232,10 @@ class Diameter2Summary:
 def diam2_sample(n: int, p: float, trials: int, seed: int) -> Diameter2Summary:
     """Sample G(n, p); check both game values of every sample that T36 (2n/3)
     applies to. Reports the diameter-2 fraction; over the solver cap it
-    raises."""
+    raises.
+
+    Each start is checked by one null-window probe at the largest value T36
+    allows; both exact values are searched only for a violation."""
     (t36,) = bounds_by_name(("T36",))
     rng = random.Random(seed)
     diameter2 = connected = checked = 0
@@ -244,9 +250,13 @@ def diam2_sample(n: int, p: float, trials: int, seed: int) -> Diameter2Summary:
             diameter2 += 1
         if not t36.applies(facts):
             continue
-        igt, igts = solve_both(g)
+        k = largest_satisfying(t36.value(facts), t36.strict(facts))
+        solver = Solver(g)
         checked += 1
-        if not check_bound(t36, facts, igt, igts).passed:
+        if not (solver.at_most(Player.DOMINATOR, k)
+                and solver.at_most(Player.STALLER, k)):
+            igt = solver.value(0, Player.DOMINATOR)
+            igts = solver.value(0, Player.STALLER)
             violations.append(
                 f"trial {trial}: n={g.n} igt={igt} igtS={igts} exceeds 2n/3")
     return Diameter2Summary(trials=trials, diameter2_count=diameter2,

@@ -234,6 +234,12 @@ class Solver:
     nearer end, ``|U|`` when ``|U| <= alpha`` or 1 when ``beta <= 1``, and
     stores nothing. The public methods take a played set and convert it to
     its unmarked set once, through ``cache``.
+
+    :meth:`at_most` answers a yes/no question about the value with one
+    null-window search (the test of MTD(f), Plaat et al. 1996): the window
+    ``(k, k + 1)`` cuts every line once the answer is known, and its bound
+    entries stay in the same table, so a later exact :meth:`value` reuses
+    them.
     """
 
     def __init__(self, g: Graph):
@@ -259,6 +265,16 @@ class Solver:
         """
         return self._search(self.cache.info(played)[0],
                             mover is Player.DOMINATOR, alpha, beta)
+
+    def at_most(self, mover: Player, k: int) -> bool:
+        """Whether the game's value with ``mover`` to start is at most ``k``.
+
+        One search under the null window ``(k, k + 1)``. By the window
+        contract of :meth:`value`, a result at or below ``k`` is an upper
+        bound and one at or above ``k + 1`` a lower bound, so the answer is
+        exact although the value itself may not be.
+        """
+        return self.value(0, mover, k, k + 1) <= k
 
     def _search(self, unmarked: int, dom: bool,
                 alpha: int = -1, beta: int = _UNBOUNDED) -> int:

@@ -277,6 +277,10 @@ def simulate(g: Graph, dominator: Strategy, staller: Strategy,
     history: list[int] = []
     records: list[MoveRecord] = []
     last_dominator_stage: int | None = None
+    # A note left by an earlier search with the same instance (say, a
+    # forced best-response run) belongs to no move of this game.
+    dominator.pop_note()
+    staller.pop_note()
     while cache.info(state.played)[0]:
         mover = state.mover
         strategy = dominator if mover is Player.DOMINATOR else staller

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from isogame.bounds import (GraphFacts, bound_names, bounds_by_name,
-                            builtin_bounds, check_all, check_bound, satisfies)
+                            builtin_bounds, check_all, check_bound,
+                            largest_satisfying, satisfies)
 from isogame.families import complete, cycle, path
 from isogame.solver import solve_both
 
@@ -77,6 +78,29 @@ def test_satisfies_is_cross_multiplication():
     # a strict bound exactly attained must fail
     assert not satisfies(5, Fraction(5, 1), True)
     assert satisfies(5, Fraction(5, 1), False)
+
+
+@pytest.mark.parametrize("bound", [
+    Fraction(5, 2), Fraction(5, 1), Fraction(16, 3), Fraction(18, 3),
+    Fraction(19, 4), Fraction(1, 4), Fraction(0, 1), Fraction(-3, 2),
+])
+@pytest.mark.parametrize("strict", [False, True])
+def test_largest_satisfying_is_the_last_value_that_satisfies(bound, strict):
+    k = largest_satisfying(bound, strict)
+    assert satisfies(k, bound, strict)
+    assert not satisfies(k + 1, bound, strict)
+
+
+def test_largest_satisfying_every_applicable_bound(small_connected):
+    for g in small_connected:
+        facts = GraphFacts.of(g)
+        for spec in builtin_bounds():
+            if not spec.applies(facts):
+                continue
+            value, strict = spec.value(facts), spec.strict(facts)
+            k = largest_satisfying(value, strict)
+            assert satisfies(k, value, strict), (spec.name, facts)
+            assert not satisfies(k + 1, value, strict), (spec.name, facts)
 
 
 def test_check_all_recomputed_by_hand(small_connected):

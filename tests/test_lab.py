@@ -7,6 +7,7 @@ import multiprocessing
 
 import pytest
 
+from isogame.engine import Player
 from isogame.errors import SolverCapError
 from isogame.families import complete, cycle, disjoint_union, path
 from isogame.graph import Graph
@@ -14,6 +15,7 @@ from isogame.graph6 import emit_graph6
 from isogame.lab import (CSV_COLUMNS, CorpusEntry, cp_scan, diam2_sample,
                          load_graph6_corpus, scan_conjecture, verify,
                          write_csv_report, write_json_report)
+from isogame.solver import Solver, solve, solve_both
 
 
 def _corpus_text(graphs):
@@ -145,6 +147,18 @@ def test_scan_conjecture_skips_small_components():
     assert scan.skipped and "order < 3" in scan.skipped[0][1]
 
 
+def test_scan_conjecture_reports_the_exact_value_of_a_counterexample(monkeypatch):
+    """No corpus graph fails the probe, so a probe forced to fail stands in
+    for one: the scan still records the exact Dominator-start value."""
+    monkeypatch.setattr(Solver, "at_most", lambda self, mover, k: False)
+    graphs = [("p5", path(5)), ("c6", cycle(6)),
+              ("p3c3", disjoint_union([path(3), cycle(3)]))]
+    scan = scan_conjecture([CorpusEntry(gid, g) for gid, g in graphs])
+    assert scan.counterexamples == [(gid, g.n, solve(g).total_moves)
+                                    for gid, g in graphs]
+    assert scan.checked == 3 and scan.exit_code == 1
+
+
 def test_cp_scan_histogram():
     graphs = [("p5", path(5)), ("k3", complete(3)), ("k5", complete(5)),
               ("c5", cycle(5))]
@@ -187,6 +201,28 @@ def test_diam2_sampling_checks_the_two_thirds_bound():
     assert 0.0 <= summary.fraction_diameter2 <= 1.0
     assert summary.checked > 0
     assert summary.exit_code == 0
+
+
+@pytest.mark.parametrize("failing", [set(Player), {Player.STALLER}])
+def test_diam2_violation_carries_both_exact_values(monkeypatch, failing):
+    """A probe forced to fail for either start makes a violation whose line
+    carries both exact values; the samples are the ones the probe saw."""
+    probed = []
+
+    def at_most(self, mover, k):
+        if mover is Player.DOMINATOR:
+            probed.append(self.graph)
+        return mover not in failing
+
+    monkeypatch.setattr(Solver, "at_most", at_most)
+    summary = diam2_sample(n=8, p=0.5, trials=30, seed=3)
+    assert summary.checked == len(probed) > 0
+    assert summary.exit_code == 1
+    expected = []
+    for g in probed:
+        igt, igts = solve_both(g)
+        expected.append(f"n={g.n} igt={igt} igtS={igts} exceeds 2n/3")
+    assert [line.split(": ", 1)[1] for line in summary.violations] == expected
 
 
 def test_diam2_sampling_near_complete():

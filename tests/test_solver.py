@@ -334,6 +334,35 @@ def test_orbit_keyed_entries_hold_for_the_oracle(name):
     assert by_flag[_EXACT]
 
 
+def test_at_most_matches_exact_values(corpus_graphs):
+    """The null-window probe answers ``value <= k`` for every corpus graph,
+    both starts and every k from -1 to n, from a fresh table and from one
+    shared with every earlier probe."""
+    for g in corpus_graphs:
+        shared = Solver(g)
+        for mover in Player:
+            exact = Solver(g).value(0, mover)
+            for k in range(-1, g.n + 1):
+                assert Solver(g).at_most(mover, k) == (exact <= k), (g, mover, k)
+                assert shared.at_most(mover, k) == (exact <= k), (g, mover, k)
+
+
+@pytest.mark.parametrize("n", range(12, 19))
+def test_at_most_at_the_value_on_orbit_keyed_cycles(n):
+    """On C12-C18, whose tables key on dihedral orbits, the probe just
+    below the value fails and the probe at it holds, on fresh and shared
+    tables in both orders."""
+    g = cycle(n)
+    for mover in Player:
+        exact = Solver(g).value(0, mover)
+        below_first, at_first = Solver(g), Solver(g)
+        assert not below_first.at_most(mover, exact - 1)
+        assert below_first.at_most(mover, exact)
+        assert at_first.at_most(mover, exact)
+        assert not at_first.at_most(mover, exact - 1)
+        assert at_first.value(0, mover) == exact
+
+
 def test_solve_both_shares_one_table():
     igt, igts = solve_both(path(5))
     assert (igt, igts) == (2, 4)

@@ -146,6 +146,22 @@ def test_extremal_falls_back_to_the_global_optimal_move():
     assert replay(g, [record.vertex for record in trace.moves]).is_terminal()
 
 
+def test_a_note_left_by_a_forced_search_tags_no_move_of_a_later_game():
+    """A forced search that falls back leaves a note on the instance; a
+    later simulation with that instance records the notes a fresh one
+    does."""
+    g = from_shorthand("P6+P3")
+    reused = ExtremalStaller()
+    best_response_value(g, reused, Player.STALLER)
+    for dominator in (GreedyDominator, OptimalStrategy):
+        fresh_trace = simulate(g, dominator(), ExtremalStaller())
+        reused_trace = simulate(g, dominator(), reused)
+        assert ([record.note for record in reused_trace.moves]
+                == [record.note for record in fresh_trace.moves])
+        assert reused_trace.moves == fresh_trace.moves
+        best_response_value(g, reused, Player.STALLER)
+
+
 # -- simulation ----------------------------------------------------------------
 
 def test_simulate_p5_greedy_two_moves():

@@ -205,6 +205,14 @@ def check_bound(spec: BoundSpec, facts: GraphFacts, igt: int, igts: int) -> Boun
                       value=value, strict=strict, passed=passed, slack=slack)
 
 
+def check_key(facts: GraphFacts, igt: int, igts: int) -> tuple:
+    """Everything of its arguments that :func:`check_all` reads: for one bound
+    set, equal keys give equal checks. The bounds read no edge count and,
+    of the diameter, only whether it is at most 2."""
+    return (facts.n, facts.min_degree, facts.max_degree, facts.diameter <= 2,
+            facts.connected, igt, igts)
+
+
 def check_all(facts: GraphFacts, igt: int, igts: int,
               specs: tuple[BoundSpec, ...] | None = None) -> tuple[BoundCheck, ...]:
     return tuple(check_bound(spec, facts, igt, igts)

@@ -8,7 +8,6 @@ convert between masks and iterables at API boundaries.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -139,6 +138,22 @@ class Graph:
             raise GraphDomainError("degree undefined on the empty graph")
         return max(self.degrees)
 
+    def _levels(self, source: int) -> Iterator[int]:
+        """Breadth-first levels from ``source``: the masks of the vertices at
+        distance 0, 1, 2, ... The next level is the OR of the current level's
+        neighbor masks, less the vertices already seen."""
+        adj = self._adj
+        seen = frontier = 1 << source
+        while frontier:
+            yield frontier
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & ~seen
+            seen |= frontier
+
     @cached_property
     def components(self) -> tuple[int, ...]:
         """Connected components as bitmasks, ordered by smallest member."""
@@ -149,14 +164,9 @@ class Graph:
         for v in range(self._n):
             if seen >> v & 1:
                 continue
-            comp = 1 << v
-            frontier = 1 << v
-            while frontier:
-                grow = 0
-                for u in iter_bits(frontier):
-                    grow |= self._adj[u]
-                frontier = grow & ~comp
-                comp |= frontier
+            comp = 0
+            for level in self._levels(v):
+                comp |= level
             comps.append(comp)
             seen |= comp
         return tuple(comps)
@@ -170,14 +180,9 @@ class Graph:
         rows = []
         for s in range(self._n):
             dist = [-1] * self._n
-            dist[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in iter_bits(self._adj[u]):
-                    if dist[w] < 0:
-                        dist[w] = dist[u] + 1
-                        queue.append(w)
+            for d, level in enumerate(self._levels(s)):
+                for w in iter_bits(level):
+                    dist[w] = d
             rows.append(tuple(dist))
         return tuple(rows)
 
@@ -188,7 +193,7 @@ class Graph:
 
     @cached_property
     def diameter(self) -> float:
-        """Maximum pairwise distance; ``INFINITE_DIAMETER`` when disconnected.
+        """Maximum eccentricity; ``INFINITE_DIAMETER`` when disconnected.
 
         The sentinel is deliberately not an integer so that predicates like
         "diameter at most 2" can never silently hold on disconnected input.
@@ -197,7 +202,8 @@ class Graph:
             raise GraphDomainError("diameter undefined on the empty graph")
         if not self.is_connected():
             return INFINITE_DIAMETER
-        return float(max(max(row) for row in self.distances))
+        return float(max(sum(1 for _ in self._levels(s))
+                         for s in range(self._n)) - 1)
 
     # -- misc --------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
 from .bounds import (BoundCheck, GraphFacts, bounds_by_name, check_all,
-                     largest_satisfying)
+                     check_key, largest_satisfying)
 from .engine import Player
 from .errors import GraphDomainError, GraphFormatError, SolverCapError
 from .families import random_graph
@@ -92,18 +92,12 @@ class BoundReport:
         return any(c.applicable and not c.passed for c in self.checks)
 
 
-def evaluate_graph(gid: str, g: Graph,
-                   bound_names: tuple[str, ...] | None = None) -> BoundReport:
+def _solve_graph(item: tuple[str, Graph]) -> tuple[str, GraphFacts, int, int]:
+    """Both game values and the bound inputs of one graph: the work a
+    ``verify`` worker does."""
+    gid, g = item
     igt, igts = solve_both(g)
-    facts = GraphFacts.of(g)
-    checks = check_all(facts, igt, igts, bounds_by_name(bound_names))
-    return BoundReport(gid=gid, n=g.n, m=g.m, min_degree=g.min_degree,
-                       max_degree=g.max_degree, diameter=g.diameter,
-                       igt=igt, igts=igts, checks=checks)
-
-
-def _verify_worker(args) -> BoundReport:
-    return evaluate_graph(*args)
+    return gid, GraphFacts.of(g), igt, igts
 
 
 @dataclass
@@ -124,27 +118,42 @@ def verify(entries: Iterable[CorpusEntry], bound_names: tuple[str, ...] | None =
            jobs: int = 1) -> VerifyResult:
     """Evaluate every parsed graph against the (filtered) bound set.
 
-    Entries are consumed one at a time; work is sharded across ``jobs``
-    processes, and reports come back in input order either way.
+    Entries are consumed one at a time; solving is sharded across ``jobs``
+    processes, and reports come back in input order either way. The bounds
+    are evaluated once per distinct ``bounds.check_key`` in a run: reports
+    with the same key share one ``checks`` tuple.
     """
-    bounds_by_name(bound_names)  # fail fast on unknown names
+    specs = bounds_by_name(bound_names)  # fails fast on unknown names
+    memo: dict[tuple, tuple[BoundCheck, ...]] = {}
+
+    def report(solved: tuple[str, GraphFacts, int, int]) -> BoundReport:
+        gid, facts, igt, igts = solved
+        key = check_key(facts, igt, igts)
+        checks = memo.get(key)
+        if checks is None:
+            checks = memo[key] = check_all(facts, igt, igts, specs)
+        return BoundReport(gid=gid, n=facts.n, m=facts.m,
+                           min_degree=facts.min_degree,
+                           max_degree=facts.max_degree, diameter=facts.diameter,
+                           igt=igt, igts=igts, checks=checks)
+
     skipped: list[tuple[str, str]] = []
-    work = ((gid, g, bound_names) for gid, g in _solvable(entries, skipped))
-    # The first graph is evaluated here, and a pool opens only once a second
+    work = _solvable(entries, skipped)
+    # The first graph is solved here, and a pool opens only once a second
     # one exists, so an error on the first graph, or a corpus with fewer than
     # two graphs to solve, never forks workers. No graph is bound to a name
     # on the serial path, so it holds one parsed graph at a time.
     try:
-        reports = [_verify_worker(next(work))]
+        reports = [report(_solve_graph(next(work)))]
     except StopIteration:
         return VerifyResult(reports=[], skipped=skipped)
     second = next(work, None) if jobs > 1 else None
     if second is None:
-        reports.extend(map(_verify_worker, work))
+        reports.extend(map(report, map(_solve_graph, work)))
     else:
         with multiprocessing.Pool(jobs) as pool:
-            reports.extend(pool.imap(_verify_worker, itertools.chain((second,), work),
-                                     chunksize=64))
+            reports.extend(map(report, pool.imap(
+                _solve_graph, itertools.chain((second,), work), chunksize=64)))
     return VerifyResult(reports=reports, skipped=skipped)
 
 
@@ -270,6 +279,23 @@ def _diam_field(diameter: float):
     return int(diameter) if diameter != float("inf") else None
 
 
+def _checks_to_list(checks: tuple[BoundCheck, ...]) -> list[dict]:
+    return [
+        {
+            "name": check.name,
+            "target": check.target,
+            "applicable": check.applicable,
+            "value": None if check.value is None else
+                     {"num": check.value.numerator, "den": check.value.denominator},
+            "strict": check.strict,
+            "pass": check.passed,
+            "slack": None if check.slack is None else
+                     {"num": check.slack.numerator, "den": check.slack.denominator},
+        }
+        for check in checks
+    ]
+
+
 def report_to_dict(report: BoundReport) -> dict:
     return {
         "id": report.gid,
@@ -281,32 +307,68 @@ def report_to_dict(report: BoundReport) -> dict:
         "igt": report.igt,
         "igtS": report.igts,
         "cp_gap": report.cp_gap,
-        "bounds": [
-            {
-                "name": check.name,
-                "target": check.target,
-                "applicable": check.applicable,
-                "value": None if check.value is None else
-                         {"num": check.value.numerator, "den": check.value.denominator},
-                "strict": check.strict,
-                "pass": check.passed,
-                "slack": None if check.slack is None else
-                         {"num": check.slack.numerator, "den": check.slack.denominator},
-            }
-            for check in report.checks
-        ],
+        "bounds": _checks_to_list(report.checks),
     }
+
+
+# A report_to_dict object and a skipped entry as json.dump(..., indent=2) lays
+# them out inside the "reports" and "skipped" arrays.
+_REPORT_TEMPLATE = """    {
+      "id": %s,
+      "n": %d,
+      "m": %d,
+      "delta": %d,
+      "Delta": %d,
+      "diam": %s,
+      "igt": %d,
+      "igtS": %d,
+      "cp_gap": %d,
+      "bounds": %s
+    }"""
+_SKIPPED_TEMPLATE = """    {
+      "id": %s,
+      "reason": %s
+    }"""
+
+
+def _write_array(stream: TextIO, items: Iterable[str]) -> None:
+    """Write a top-level member's JSON array from its encoded items."""
+    separator = "[\n"
+    for item in items:
+        stream.write(separator + item)
+        separator = ",\n"
+    stream.write("[]" if separator == "[\n" else "\n  ]")
 
 
 def write_json_report(result: VerifyResult, stream: TextIO) -> None:
-    payload = {
-        "schema": REPORT_SCHEMA,
-        "reports": [report_to_dict(report) for report in result.reports],
-        "skipped": [{"id": gid, "reason": reason} for gid, reason in result.skipped],
-        "summary": {"graphs": len(result.reports), "failures": result.failures},
-    }
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
+    """Write ``{"schema", "reports", "skipped", "summary"}`` with one
+    :func:`report_to_dict` object per report.
+
+    The bytes equal ``json.dump(payload, stream, indent=2)`` followed by a
+    newline. Each report is written as one string; each distinct ``checks``
+    tuple's ``"bounds"`` array is encoded once per call, and ids and reasons
+    go through ``json.dumps``, so non-ASCII text is escaped as before.
+    """
+    bounds: dict[int, str] = {}  # id of a checks tuple -> its encoded array
+
+    def encode(report: BoundReport) -> str:
+        array = bounds.get(id(report.checks))
+        if array is None:
+            array = json.dumps(_checks_to_list(report.checks), indent=2)
+            array = bounds[id(report.checks)] = array.replace("\n", "\n      ")
+        diam = _diam_field(report.diameter)
+        return _REPORT_TEMPLATE % (
+            json.dumps(report.gid), report.n, report.m, report.min_degree,
+            report.max_degree, "null" if diam is None else diam, report.igt,
+            report.igts, report.cp_gap, array)
+
+    stream.write('{\n  "schema": %d,\n  "reports": ' % REPORT_SCHEMA)
+    _write_array(stream, map(encode, result.reports))
+    stream.write(',\n  "skipped": ')
+    _write_array(stream, (_SKIPPED_TEMPLATE % (json.dumps(gid), json.dumps(reason))
+                          for gid, reason in result.skipped))
+    stream.write(',\n  "summary": {\n    "graphs": %d,\n    "failures": %d\n  }\n}\n'
+                 % (len(result.reports), result.failures))
 
 
 def write_csv_report(result: VerifyResult, stream: TextIO) -> None:

@@ -1,6 +1,7 @@
 """Graph construction, neighborhoods, and structural predicates."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -135,6 +136,57 @@ def test_distance_matrix_agrees_with_diameter():
     c6 = cycle(6)
     assert c6.distance(0, 3) == 3
     assert c6.diameter == 3
+
+
+def _queue_bfs_distances(g):
+    """All-pairs distances by a vertex-queue BFS, -1 when unreachable."""
+    neighbors = [g.neighbors(u) for u in range(g.n)]
+    rows = []
+    for s in range(g.n):
+        dist = [-1] * g.n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in neighbors[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        rows.append(tuple(dist))
+    return tuple(rows)
+
+
+def _assert_levels_match_queue_bfs(g):
+    rows = _queue_bfs_distances(g)
+    assert g.diameter == max(max(row) for row in rows)
+    assert g.distances == rows
+
+
+def test_bitset_levels_match_a_queue_bfs_on_the_corpus(corpus_graphs):
+    for g in corpus_graphs:
+        _assert_levels_match_queue_bfs(g)
+
+
+def test_bitset_levels_match_a_queue_bfs_on_paths_cycles_and_k1():
+    for n in range(2, 21):
+        _assert_levels_match_queue_bfs(path(n))
+        assert path(n).diameter == n - 1
+    for n in range(3, 21):
+        _assert_levels_match_queue_bfs(cycle(n))
+        assert cycle(n).diameter == n // 2
+    k1 = Graph(1, [])
+    assert k1.diameter == 0.0 and k1.distances == ((0,),)
+
+
+def test_unions_keep_the_infinite_diameter_and_unreachable_distances():
+    for parts in ([path(3), cycle(3)], [cycle(6), cycle(6), path(2)],
+                  [complete(4), path(5)]):
+        g = disjoint_union(parts)
+        assert g.diameter == INFINITE_DIAMETER
+        assert not isinstance(g.diameter, int)
+        assert g.distances == _queue_bfs_distances(g)
+        first, last = 0, g.n - 1
+        assert g.distance(first, last) == -1
 
 
 def test_induced_subgraph_keeps_structure():

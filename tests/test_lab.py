@@ -4,16 +4,21 @@ import csv
 import io
 import json
 import multiprocessing
+import random
+from fractions import Fraction
 
 import pytest
 
+from isogame.bounds import (BoundCheck, GraphFacts, bounds_by_name, check_all,
+                            check_key)
 from isogame.engine import Player
 from isogame.errors import SolverCapError
 from isogame.families import complete, cycle, disjoint_union, path
 from isogame.graph import Graph
 from isogame.graph6 import emit_graph6
-from isogame.lab import (CSV_COLUMNS, CorpusEntry, cp_scan, diam2_sample,
-                         load_graph6_corpus, scan_conjecture, verify,
+from isogame.lab import (CSV_COLUMNS, BoundReport, CorpusEntry, VerifyResult,
+                         cp_scan, diam2_sample, load_graph6_corpus,
+                         report_to_dict, scan_conjecture, verify,
                          write_csv_report, write_json_report)
 from isogame.solver import Solver, solve, solve_both
 
@@ -61,9 +66,8 @@ def test_verify_parallel_matches_serial():
     entries = list(load_graph6_corpus(io.StringIO(_corpus_text(graphs))))
     serial = verify(entries)
     parallel = verify(entries, jobs=2)
-    assert [r.gid for r in serial.reports] == [r.gid for r in parallel.reports]
-    assert [(r.igt, r.igts) for r in serial.reports] \
-        == [(r.igt, r.igts) for r in parallel.reports]
+    assert [r.gid for r in serial.reports] == [e.gid for e in entries]
+    assert parallel.reports == serial.reports
 
 
 def test_verify_builds_no_pool_before_its_first_graph(monkeypatch):
@@ -257,3 +261,88 @@ def test_csv_report_columns():
     # the path has min degree 1: only T41/T42 apply to it
     p5_rows = [row for row in body if row[0].endswith(":2")]
     assert sorted(row[9] for row in p5_rows) == ["T41", "T42"]
+
+
+@pytest.fixture(scope="module")
+def corpus_slice(corpus_entries):
+    """A seeded sample of corpus entries, in corpus order."""
+    picked = sorted(random.Random(14).sample(range(len(corpus_entries)), 300))
+    return [corpus_entries[i] for i in picked]
+
+
+def _reference_json(result):
+    payload = {
+        "schema": 1,
+        "reports": [report_to_dict(report) for report in result.reports],
+        "skipped": [{"id": gid, "reason": reason} for gid, reason in result.skipped],
+        "summary": {"graphs": len(result.reports), "failures": result.failures},
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _written(writer, result):
+    stream = io.StringIO()
+    writer(result, stream)
+    return stream.getvalue()
+
+
+def _unmemoized(result, entries, bound_names=None):
+    """The reports of ``result`` with every ``checks`` evaluated afresh."""
+    specs = bounds_by_name(bound_names)
+    graphs = {entry.gid: entry.graph for entry in entries}
+    return [BoundReport(**{**vars(report), "checks": check_all(
+                GraphFacts.of(graphs[report.gid]), report.igt, report.igts, specs)})
+            for report in result.reports]
+
+
+def _failing_report():
+    failing = BoundCheck(name="T41", target="igt", applicable=True,
+                         value=Fraction(5, 2), strict=True, passed=False,
+                         slack=Fraction(-1, 2))
+    return BoundReport(gid="hand\u00e9", n=3, m=2, min_degree=1, max_degree=2,
+                       diameter=2.0, igt=3, igts=2, checks=(failing,))
+
+
+def test_json_report_bytes_match_json_dump(corpus_slice):
+    odd = _corpus_text([path(5), disjoint_union([path(3), cycle(3)]),
+                        disjoint_union([cycle(4), cycle(4)])]) \
+        + "zz@@@\n\ufffd\ufffd\n@\n"
+    odd_result = verify(load_graph6_corpus(io.StringIO(odd), source="odd\u00e9"))
+    assert [r["diam"] for r in map(report_to_dict, odd_result.reports)] \
+        == [4, None, None]
+    assert any("\ufffd" in reason for _, reason in odd_result.skipped)
+    results = [
+        verify(corpus_slice),
+        verify(corpus_slice, bound_names=("T41", "T42")),
+        verify(corpus_slice[:5], bound_names=()),
+        VerifyResult(reports=[], skipped=[]),
+        odd_result,
+        VerifyResult(reports=odd_result.reports[:1] + [_failing_report()],
+                     skipped=odd_result.skipped),
+    ]
+    assert results[-1].failures == 1
+    for result in results:
+        text = _written(write_json_report, result)
+        assert text == _reference_json(result)
+        assert text.isascii()
+
+
+def test_csv_report_is_unchanged_by_the_check_memo(corpus_slice):
+    for names in (None, ("T41", "T42")):
+        result = verify(corpus_slice, bound_names=names)
+        fresh = VerifyResult(reports=_unmemoized(result, corpus_slice, names),
+                             skipped=result.skipped)
+        assert _written(write_csv_report, result) == _written(write_csv_report, fresh)
+
+
+def test_verify_checks_equal_unmemoized_checks_under_each_filter(corpus_slice):
+    """Two runs with different filters in one process: a memo that outlived
+    a run or ignored its filter would hand one run the other's checks."""
+    graphs = {entry.gid: entry.graph for entry in corpus_slice}
+    for names in (None, ("T41", "T42"), ("T36",), None):
+        result = verify(corpus_slice, bound_names=names)
+        assert [r.checks for r in result.reports] \
+            == [r.checks for r in _unmemoized(result, corpus_slice, names)]
+        keys = {check_key(GraphFacts.of(graphs[r.gid]), r.igt, r.igts)
+                for r in result.reports}
+        assert len({id(r.checks) for r in result.reports}) == len(keys) < len(result.reports)

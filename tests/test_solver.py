@@ -373,7 +373,7 @@ def test_solving_does_not_pin_the_graph():
     and a strategy kept alive holds only the graph it last played on."""
     g = random_connected(8, 0.4, 2, seed=11)
     solve_both(g)
-    lab.evaluate_graph("g", g)
+    lab.verify([lab.CorpusEntry(gid="g", graph=g)])
     strategies.simulate(g, strategies.GreedyDominator(),
                         strategies.OptimalStrategy())
     strategies.best_response_value(g, strategies.GreedyDominator(),

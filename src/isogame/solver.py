@@ -17,7 +17,10 @@ orbit of ``U`` (Allis 1994): on a graph of more than 8 vertices on which at
 least ``n`` automorphisms are found (the search stops at ``2n``), the table
 keys on the least image of ``U`` under them. When those form the whole
 group, as a cycle's ``2n`` rotations and reflections do, one entry serves
-the whole orbit; otherwise it serves the images under the ones found.
+the whole orbit. When they are not closed under composition (on Petersen
+and Q4, say), two images of ``U`` may still get different keys, so an orbit
+can fill several entries; since every image is automorphic to ``U``, an
+entry never serves a state of another value.
 """
 
 from __future__ import annotations
@@ -240,7 +243,17 @@ class Solver:
     ``(k, k + 1)`` cuts every line once the answer is known, and its bound
     entries stay in the same table, so a later exact :meth:`value` reuses
     them.
+
+    A subclass may force one side's moves by defining ``_forced_reply(U,
+    last, alpha, beta)``, the moves left after the free side played
+    ``last``; ``_search`` and ``_best_move`` then take it as each child's
+    value, less the move just made, and the table holds free-side states
+    only. ``_key_of``, when set, maps ``U`` to the table's key in place of
+    ``U``, and ``_orbit_keyed = False`` turns the orbit key off.
     """
+
+    _forced_reply = None
+    _orbit_keyed = True
 
     def __init__(self, g: Graph):
         check_solvable(g)
@@ -248,8 +261,9 @@ class Solver:
         self.cache = StateCache(g)
         self._table: dict[int, tuple[int, int]] = {}
         self._hits = 0
-        autos = _automorphisms(g, 2 * g.n) if g.n > 8 else []
+        autos = _automorphisms(g, 2 * g.n) if g.n > 8 and self._orbit_keyed else []
         self._images = _image_tables(autos, g.n) if len(autos) >= g.n else None
+        self._key_of = None if self._images is None else self._canonical
 
     @property
     def stats(self) -> TableStats:
@@ -286,10 +300,8 @@ class Solver:
             return size
         if beta <= 1:
             return 1
-        if self._images is None:
-            key = unmarked << 1 | dom
-        else:
-            key = self._canonical(unmarked) << 1 | dom
+        key_of = self._key_of
+        key = (unmarked if key_of is None else key_of(unmarked)) << 1 | dom
         entry = self._table.get(key)
         if entry is not None:
             flag, stored = entry
@@ -306,10 +318,15 @@ class Solver:
         alpha_in, beta_in = alpha, beta
         adj = self.graph.adj
         search = self._search
+        forced = self._forced_reply
         best = None
         other = not dom
         for v in iter_bits(playable_from(self.graph, unmarked)):
-            child = 1 + search(_step(adj, unmarked, v), other, alpha - 1, beta - 1)
+            after = _step(adj, unmarked, v)
+            if forced is None:
+                child = 1 + search(after, other, alpha - 1, beta - 1)
+            else:
+                child = 1 + forced(after, v, alpha - 1, beta - 1)
             if best is None or (child < best if dom else child > best):
                 best = child
                 if dom:
@@ -338,9 +355,15 @@ class Solver:
         if not unmarked:
             raise GameStateError("no optimal move in a terminal state")
         adj = self.graph.adj
+        forced = self._forced_reply
         target = self._search(unmarked, dom)
         for v in iter_bits(playable_from(self.graph, unmarked)):
-            if 1 + self._search(_step(adj, unmarked, v), not dom) == target:
+            after = _step(adj, unmarked, v)
+            if forced is None:
+                child = self._search(after, not dom)
+            else:
+                child = forced(after, v, -1, _UNBOUNDED)
+            if 1 + child == target:
                 return v
         raise AssertionError("some child must attain the minimax value")
 

@@ -20,8 +20,7 @@ from .errors import (GameStateError, IllegalMoveError, ProtocolViolationError,
                      SnapshotDomainError, StrategyDomainError)
 from .graph import (Graph, closed_neighborhood, induced_subgraph, iter_bits,
                     open_neighborhood, vertex_set, vertices_of)
-from .solver import (_EXACT, _LOWER, _UNBOUNDED, _UPPER, Solver, StateCache,
-                     _step, check_solvable)
+from .solver import _UNBOUNDED, Solver, StateCache, _step
 
 STAGE_BURST = 1
 STAGE_TRICKLE = 2
@@ -35,11 +34,11 @@ class Strategy:
     (None when no move was made) and the played set; :meth:`choose` is the
     same rule on a :class:`GameState` and its move history. Choices are
     functions of ``U``, the mover and ``last``, not of the played set, so
-    the forced search shares one memo entry among played sets with the
-    same ``U``. ``needs_last_move`` marks a strategy that reads ``last``.
-    ``reads_played`` marks the exceptions that read the played set itself:
-    ``RandomStrategy`` seeds on it, and ``BestResponseStrategy`` hands it
-    to its search.
+    the forced search shares one table entry among played sets with the
+    same ``U``; it asks for a choice right after the free move ``last``, so
+    ``last`` never enters a key. ``reads_played`` marks the exceptions that
+    read the played set itself: ``RandomStrategy`` seeds on it, and
+    ``BestResponseStrategy`` hands it to its search.
 
     A strategy that searches defines ``_new_search(g)`` and reaches the
     search through ``_search_for``, which keeps it for the graph last played
@@ -48,7 +47,6 @@ class Strategy:
     """
 
     name = "strategy"
-    needs_last_move = False
     reads_played = False
 
     def __init__(self):
@@ -193,7 +191,6 @@ class ExtremalStaller(Strategy):
     """
 
     name = "extremal"
-    needs_last_move = True
 
     def _new_search(self, g):
         # Component kinds, and a solver per vertex mask, built when first asked.
@@ -366,51 +363,57 @@ def stage_snapshot(trace: GameTrace) -> StageSnapshot | None:
 
 # -- best response against a fixed strategy ---------------------------------
 
-class ForcedGameSolver:
-    """Alpha-beta minimax with one side's moves forced by a strategy.
+class ForcedGameSolver(Solver):
+    """:class:`Solver` with one side's moves forced by a strategy.
 
     The free side plays to its own objective (Dominator minimizes, Staller
-    maximizes the total move count). The search runs on the unmarked set
-    ``U``, stepped with :func:`solver._step`; the played set rides along as
-    ``played | 1 << v`` for the strategies that read it, and below
-    :meth:`value_from` no node re-marks the graph. The memo keys on
-    ``(U << 1 | dominator_to_move, last)``: a strategy's choice is a
-    function of ``U``, the mover and the opponent's previous move ``last``,
-    which fills the second slot only at forced nodes of a
-    ``needs_last_move`` strategy and is None elsewhere. For a
-    ``reads_played`` strategy the played set takes the place of ``U``. The
-    key is ``U`` itself, never :class:`Solver`'s automorphism-orbit key:
-    the strategies break ties by lowest index, which an automorphism does
-    not preserve, so automorphic states can have different forced values.
+    maximizes the total move count), and the search's nodes are its states
+    only: each free move ``v`` is followed at once by the strategy's reply
+    in :meth:`_forced_reply`, so a child's value is ``1 + forced(U1, last=v)``.
+    The forced step is not stored. It cuts off a window outside the bracket
+    ``[1, |U|]`` like :meth:`Solver._search`, asks ``choose_from`` with
+    ``last = v``, steps ``U`` and searches on. ``last`` is therefore never a
+    table key, and ``Solver``'s bound flags and window contract hold as they
+    are. The played set rides along on the instance for the strategies that
+    read it, and below :meth:`value_from` no node re-marks the graph.
 
-    Entries carry ``solver``'s bound flags, as in :class:`Solver` (Knuth &
-    Moore 1975): a free Dominator lowers ``beta``, a free Staller raises
-    ``alpha``, and a forced node passes ``(alpha - 1, beta - 1)`` to its one
-    child. Under a window ``(alpha, beta)`` a result strictly inside it is
-    exact, one at or below ``alpha`` an upper bound and one at or above
-    ``beta`` a lower bound; a non-terminal state whose bracket ``[1, |U|]``
-    lies outside the window returns the nearer end and stores nothing. The
-    public methods search under the full window and return exact values.
+    The table keys on ``U << 1 | dominator_to_move``, or on ``played << 1 |
+    dominator_to_move`` for a ``reads_played`` strategy. It never keys on
+    ``Solver``'s automorphism orbit: the strategies break ties by lowest
+    index, which an automorphism does not preserve, so automorphic states
+    can have different forced values. The entry points are
+    :meth:`value_from` and :meth:`free_side_move`; ``Solver``'s played-set
+    methods know nothing of the forced side.
     """
 
+    _orbit_keyed = False
+
     def __init__(self, g: Graph, strategy: Strategy, fixed_role: Player):
-        check_solvable(g)
-        self.graph = g
+        super().__init__(g)
         self.strategy = strategy
         self.fixed_role = fixed_role
-        self._memo: dict[tuple[int, int | None], tuple[int, int]] = {}
+        self._free_dom = fixed_role is Player.STALLER
+        self._played = 0
+        if strategy.reads_played:
+            self._key_of = self._played_key
 
-    def value_from(self, played: int, mover: Player, last: int | None = None,
-                   unmarked: int | None = None) -> int:
-        """Forced game length from ``played``; ``unmarked`` is its unmarked
-        set when the caller has it, and is computed from ``played`` if not."""
-        if unmarked is None:
-            unmarked = marked_set(self.graph, played).unmarked
-        return self._search(unmarked, played, mover, last, -1, _UNBOUNDED)
+    def _played_key(self, unmarked: int) -> int:
+        return self._played
 
-    def _search(self, unmarked: int, played: int, mover: Player, last: int | None,
-                alpha: int, beta: int) -> int:
-        """:meth:`value_from` under the window ``(alpha, beta)``."""
+    def value_from(self, played: int, mover: Player, last: int | None = None) -> int:
+        """Forced game length from ``played`` with ``mover`` to move; ``last``
+        is the previous move, which the forced side's strategy may read."""
+        unmarked = marked_set(self.graph, played).unmarked
+        self._played = played
+        if mover is self.fixed_role:
+            return self._forced_reply(unmarked, last, -1, _UNBOUNDED)
+        return self._search(unmarked, self._free_dom)
+
+    def _forced_reply(self, unmarked: int, last: int | None,
+                      alpha: int, beta: int) -> int:
+        """Moves left from ``unmarked`` with the forced side to move after
+        the free move ``last`` (None when it opens), under the window
+        contract of :meth:`Solver._search`."""
         if not unmarked:
             return 0
         size = unmarked.bit_count()
@@ -418,68 +421,26 @@ class ForcedGameSolver:
             return size
         if beta <= 1:
             return 1
-        strategy = self.strategy
-        forced = mover is self.fixed_role
-        dom = mover is Player.DOMINATOR
-        key = ((played if strategy.reads_played else unmarked) << 1 | dom,
-               last if forced and strategy.needs_last_move else None)
-        entry = self._memo.get(key)
-        if entry is not None:
-            flag, stored = entry
-            if flag == _EXACT:
-                return stored
-            if flag == _LOWER:
-                alpha = max(alpha, stored)
-            else:
-                beta = min(beta, stored)
-            if alpha >= beta:
-                return stored
-        alpha_in, beta_in = alpha, beta
+        before = self._played
+        played = before if last is None else before | 1 << last
         g = self.graph
-        adj = g.adj
-        search = self._search
-        other = mover.other
-        if forced:
-            v = strategy.choose_from(g, unmarked, mover, last, played)
-            if not playable_from(g, unmarked) >> v & 1:
-                raise ProtocolViolationError(strategy.name, v, "not-playable")
-            best = 1 + search(_step(adj, unmarked, v), played | 1 << v, other, v,
-                              alpha - 1, beta - 1)
-        else:
-            best = None
-            for v in iter_bits(playable_from(g, unmarked)):
-                child = 1 + search(_step(adj, unmarked, v), played | 1 << v, other, v,
-                                   alpha - 1, beta - 1)
-                if best is None or (child < best if dom else child > best):
-                    best = child
-                    if dom:
-                        beta = min(beta, best)
-                    else:
-                        alpha = max(alpha, best)
-                    if alpha >= beta:
-                        break
-        if best <= alpha_in:
-            self._memo[key] = (_UPPER, best)
-        elif best >= beta_in:
-            self._memo[key] = (_LOWER, best)
-        else:
-            self._memo[key] = (_EXACT, best)
-        return best
+        strategy = self.strategy
+        v = strategy.choose_from(g, unmarked, self.fixed_role, last, played)
+        if not playable_from(g, unmarked) >> v & 1:
+            raise ProtocolViolationError(strategy.name, v, "not-playable")
+        self._played = played | 1 << v
+        value = 1 + self._search(_step(g.adj, unmarked, v), self._free_dom,
+                                 alpha - 1, beta - 1)
+        self._played = before
+        return value
 
-    def free_side_move(self, played: int, mover: Player, last: int | None = None) -> int:
+    def free_side_move(self, played: int, mover: Player) -> int:
         """Lowest-index optimal move for the non-forced side."""
         if mover is self.fixed_role:
             raise GameStateError("the forced side has no choice to optimize")
-        g = self.graph
-        unmarked = marked_set(g, played).unmarked
-        if unmarked == 0:
-            raise GameStateError("no optimal move in a terminal state")
-        target = self.value_from(played, mover, last, unmarked)
-        for v in iter_bits(playable_from(g, unmarked)):
-            if 1 + self._search(_step(g.adj, unmarked, v), played | 1 << v,
-                                mover.other, v, -1, _UNBOUNDED) == target:
-                return v
-        raise AssertionError("some child must attain the optimum")
+        self._played = played
+        return self._best_move(marked_set(self.graph, played).unmarked,
+                               self._free_dom)
 
 
 def best_response_value(g: Graph, strategy: Strategy, fixed_role: Player,
@@ -507,4 +468,4 @@ class BestResponseStrategy(Strategy):
     def choose_from(self, g, unmarked, mover, last, played):
         if mover is not self.role:
             raise StrategyDomainError(f"best-response built for {self.role}")
-        return self._search_for(g).free_side_move(played, mover, last)
+        return self._search_for(g).free_side_move(played, mover)

@@ -106,8 +106,9 @@ def _pinned_simulations():
 @pytest.mark.parametrize("argv, out, err, code", _pinned_simulations())
 def test_simulate_traces_are_pinned(capsys, argv, out, err, code):
     """Greedy, modified greedy, random (seed rule) and optimal Dominators
-    against Staller's best response, and greedy and random against the
-    extremal Staller (fallback notes), print byte-identical traces."""
+    against Staller's best response, greedy and random against the
+    extremal Staller (fallback notes), and Dominator's best response
+    against the extremal and random Stallers print byte-identical traces."""
     assert run(capsys, *argv) == (code, out, err)
 
 

@@ -398,27 +398,28 @@ def _histories(g):
     return histories
 
 
-# (graph, strategy, first mover) -> entries in the forced search's memo
-FORCED_MEMO_SIZES = {
-    ("C6", "greedy", Player.DOMINATOR): 6, ("C6", "greedy", Player.STALLER): 9,
-    ("C6", "modified-greedy", Player.DOMINATOR): 6,
-    ("C6", "modified-greedy", Player.STALLER): 9,
-    ("C6", "random", Player.DOMINATOR): 4, ("C6", "random", Player.STALLER): 9,
-    ("P5", "greedy", Player.DOMINATOR): 2, ("P5", "greedy", Player.STALLER): 5,
-    ("P5", "modified-greedy", Player.DOMINATOR): 2,
-    ("P5", "modified-greedy", Player.STALLER): 5,
-    ("P5", "random", Player.DOMINATOR): 4, ("P5", "random", Player.STALLER): 5,
-    ("P3+C6", "greedy", Player.DOMINATOR): 14, ("P3+C6", "greedy", Player.STALLER): 26,
-    ("P3+C6", "modified-greedy", Player.DOMINATOR): 14,
-    ("P3+C6", "modified-greedy", Player.STALLER): 26,
-    ("P3+C6", "random", Player.DOMINATOR): 21, ("P3+C6", "random", Player.STALLER): 38,
+# (graph, strategy, first mover) -> entries in the forced search's table
+FORCED_TABLE_SIZES = {
+    ("C6", "greedy", Player.DOMINATOR): 2, ("C6", "greedy", Player.STALLER): 2,
+    ("C6", "modified-greedy", Player.DOMINATOR): 2,
+    ("C6", "modified-greedy", Player.STALLER): 2,
+    ("C6", "random", Player.DOMINATOR): 2, ("C6", "random", Player.STALLER): 2,
+    ("P5", "greedy", Player.DOMINATOR): 1, ("P5", "greedy", Player.STALLER): 2,
+    ("P5", "modified-greedy", Player.DOMINATOR): 1,
+    ("P5", "modified-greedy", Player.STALLER): 2,
+    ("P5", "random", Player.DOMINATOR): 2, ("P5", "random", Player.STALLER): 2,
+    ("P3+C6", "greedy", Player.DOMINATOR): 3, ("P3+C6", "greedy", Player.STALLER): 10,
+    ("P3+C6", "modified-greedy", Player.DOMINATOR): 3,
+    ("P3+C6", "modified-greedy", Player.STALLER): 10,
+    ("P3+C6", "random", Player.DOMINATOR): 6, ("P3+C6", "random", Player.STALLER): 12,
 }
 
 
 def test_forced_memo_keys_on_the_unmarked_set():
-    """Greedy and modified greedy key the forced memo on reachable unmarked
-    sets, ``RandomStrategy`` on reachable played sets, and the extremal
-    Staller's keys carry the previous move at Staller nodes only."""
+    """The forced table stores free-side states only, under ``Solver``'s
+    int keys: greedy and modified greedy key on reachable unmarked sets,
+    ``RandomStrategy`` on reachable played sets, and the extremal Staller,
+    which reads the previous move, on unmarked sets with Dominator to move."""
     strategies = {s.name: s for s in (GreedyDominator(), ModifiedGreedyDominator(),
                                       RandomStrategy(5))}
     for text in ("C6", "P5", "P3+C6"):
@@ -430,16 +431,17 @@ def test_forced_memo_keys_on_the_unmarked_set():
             for first in Player:
                 search = ForcedGameSolver(g, strategy, Player.DOMINATOR)
                 search.value_from(0, first)
-                assert len(search._memo) == FORCED_MEMO_SIZES[text, name, first]
-                for key, last in search._memo:
-                    assert key >> 1 in reached and last is None, (text, name, key)
+                assert len(search._table) == FORCED_TABLE_SIZES[text, name, first]
+                for key in search._table:
+                    assert key >> 1 in reached and key & 1 == 0, (text, name, key)
         search = ForcedGameSolver(g, strategies["random"], Player.DOMINATOR)
-        search.value_from(0, Player.STALLER)
-        assert any(key >> 1 not in unmarked_sets for key, _ in search._memo), text
-    # At most one entry per (U, mover) state that greedy-forced play reaches.
+        search.value_from(0, Player.DOMINATOR)
+        assert any(key >> 1 not in unmarked_sets for key in search._table), text
+    # At most one entry per free-side (U, Staller) state that greedy-forced
+    # play reaches.
     g = from_shorthand("C6+C6+C6")
     greedy = GreedyDominator()
-    for first, size in ((Player.DOMINATOR, 491), (Player.STALLER, 1033)):
+    for first, size in ((Player.DOMINATOR, 139), (Player.STALLER, 254)):
         start = (marked_set(g, 0).unmarked, first)
         states = {start}
         frontier = [start]
@@ -454,25 +456,38 @@ def test_forced_memo_keys_on_the_unmarked_set():
                 if child[0] and child not in states:
                     states.add(child)
                     frontier.append(child)
+        free = {unmarked for unmarked, mover in states if mover is Player.STALLER}
         search = ForcedGameSolver(g, greedy, Player.DOMINATOR)
         search.value_from(0, first)
-        assert len(search._memo) == size <= len(states)
-    for text, size in (("C6", 11), ("P3+C6", 46)):
+        assert len(search._table) == size <= len(free)
+        assert {key >> 1 for key in search._table} <= free
+    for text, size in (("C6", 4), ("P3+C6", 9)):
         g = from_shorthand(text)
         unmarked_sets = {marked_set(g, played).unmarked for played in _histories(g)}
         search = ForcedGameSolver(g, ExtremalStaller(), Player.STALLER)
         search.value_from(0, Player.DOMINATOR)
-        assert len(search._memo) == size, text
-        for key, last in search._memo:
-            assert key >> 1 in unmarked_sets
-            assert (last is None) == bool(key & 1), (text, key, last)
+        assert len(search._table) == size, text
+        for key in search._table:
+            assert key >> 1 in unmarked_sets and key & 1 == 1, (text, key)
+
+
+def _forced_windowed(search, played, mover, last, alpha, beta):
+    """The forced search from ``played`` under the window ``(alpha, beta)``:
+    ``Solver._search`` at a free-side position, the forced step at one of
+    the strategy's."""
+    search._played = played
+    unmarked = marked_set(search.graph, played).unmarked
+    if mover is search.fixed_role:
+        return search._forced_reply(unmarked, last, alpha, beta)
+    return search._search(unmarked, search._free_dom, alpha, beta)
 
 
 def test_forced_search_honours_every_window():
     """Under any window a forced result inside it is exact, one at or below
-    alpha an upper bound and one at or above beta a lower bound, from a
-    fresh memo and from one shared with every earlier window, taken in a
-    seeded order; the shared memo then still gives exact values."""
+    alpha an upper bound and one at or above beta a lower bound, at free-side
+    and forced-side positions, from a fresh table and from one shared with
+    every earlier window, taken in a seeded order; the shared table then
+    still gives exact values."""
     rng = random.Random(19)
     for _ in range(10):
         g = random_connected(rng.randint(3, 7), 0.5, 1, seed=rng.random())
@@ -485,7 +500,7 @@ def test_forced_search_honours_every_window():
             shared = ForcedGameSolver(g, strategy, Player.DOMINATOR)
             for played in sample:
                 history = histories[played]
-                unmarked = marked_set(g, played).unmarked
+                last = history[-1] if history else None
                 for first in Player:
                     exact = oracles.brute_forced_value(g, strategy, Player.DOMINATOR,
                                                        first, history)
@@ -494,15 +509,36 @@ def test_forced_search_honours_every_window():
                     for alpha, beta in windows:
                         for search in (shared, ForcedGameSolver(
                                 g, strategy, Player.DOMINATOR)):
-                            got = search._search(unmarked, played, mover, None,
-                                                 alpha, beta)
+                            got = _forced_windowed(search, played, mover, last,
+                                                   alpha, beta)
                             if got <= alpha:
                                 assert exact <= got
                             elif got >= beta:
                                 assert exact >= got
                             else:
                                 assert got == exact
-                    assert shared.value_from(played, mover) == exact
+                    assert shared.value_from(played, mover, last) == exact
+
+
+def test_forced_table_never_keys_on_orbits():
+    """On C12 ``Solver`` keys on automorphism orbits (n > 8, 24 found), but
+    the forced table must not: greedy's lowest-index ties make automorphic
+    states differ. Greedy- and modified-greedy-forced values from every
+    position two moves in, each strategy on one shared table, match the
+    memo-free oracle; an orbit-keyed forced table gets 8 of these 264 wrong."""
+    g = cycle(12)
+    assert Solver(g)._images is not None
+    two_in = [h for h in _histories(g).values() if len(h) == 2]
+    assert len(two_in) == 66
+    for strategy in (GreedyDominator(), ModifiedGreedyDominator()):
+        search = ForcedGameSolver(g, strategy, Player.DOMINATOR)
+        for history in two_in:
+            for first in Player:
+                want = oracles.brute_forced_value(g, strategy, Player.DOMINATOR,
+                                                  first, history)
+                assert search.value_from(vertex_set(history), first,
+                                         history[-1]) == want, (strategy.name,
+                                                                history, first)
 
 
 def test_forced_memo_shares_unmarked_sets_and_not_orbits():
@@ -523,9 +559,9 @@ def test_forced_memo_shares_unmarked_sets_and_not_orbits():
         for one, other in pairs:
             for mover in Player:
                 value = search.value_from(one, mover)
-                entries = len(search._memo)
+                entries = len(search._table)
                 assert search.value_from(other, mover) == value, (text, one, other)
-                assert len(search._memo) == entries
+                assert len(search._table) == entries
         for pair in pairs[:6]:
             for mover in Player:
                 want = search.value_from(pair[0], mover)

@@ -5,9 +5,9 @@ legality comes straight from the two-clause selection rule (a move must
 totally dominate either a vertex of a nontrivial surviving component, or a
 played vertex left isolated after deleting the played neighborhood), and
 the solvers recurse without any memoization. None of it shares code with
-the bitmask engine, which is the point. The one exception is the
-``GameState`` that :func:`brute_forced_value` hands a strategy, since that
-is what a strategy reads; its move is still judged by :func:`legal_moves`.
+the bitmask engine, which is the point. :func:`brute_forced_value` hands
+a strategy the unmarked set that :func:`marked_vertices` derives, and
+judges its move by :func:`legal_moves`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import TYPE_CHECKING
 
-from .engine import GameState, Player
+from .engine import Player
 from .errors import GraphDomainError, ProtocolViolationError, SolverCapError
 from .graph import Graph
 
@@ -129,7 +129,8 @@ def brute_forced_value(g: Graph, strategy: Strategy, fixed_role: Player,
 
     The free side ranges over :func:`legal_moves` to its own objective
     (Dominator minimizes, Staller maximizes); the forced side plays
-    ``strategy.choose`` on the full move history, and a move outside
+    ``strategy.choose`` on the unmarked set from :func:`marked_vertices`,
+    with the last move of the history, and a move outside
     :func:`legal_moves` raises :class:`ProtocolViolationError`.
     """
     _check_brute_domain(g)
@@ -140,10 +141,13 @@ def brute_forced_value(g: Graph, strategy: Strategy, fixed_role: Player,
         if not moves:
             return 0
         if mover is fixed_role:
-            state = GameState(g, sum(1 << v for v in played), first_mover)
-            v = strategy.choose(state, history)
+            marked = marked_vertices(g, played)
+            unmarked = sum(1 << u for u in range(g.n) if u not in marked)
+            last = history[-1] if history else None
+            v = strategy.choose(g, unmarked, mover, last, sum(1 << u for u in played))
             if v not in moves:
-                raise ProtocolViolationError(strategy.name, v, "not-playable")
+                reason = "already-played" if v in played else "not-playable"
+                raise ProtocolViolationError(strategy.name, v, reason)
             return 1 + value(history + (v,), mover.other)
         children = [1 + value(history + (v,), mover.other) for v in moves]
         return min(children) if mover is Player.DOMINATOR else max(children)

@@ -15,8 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .engine import GameState, Player, marked_set, new_game, playable_from
-from .errors import (GameStateError, IllegalMoveError, ProtocolViolationError,
+from .engine import (GameState, Player, check_game_domain, marked_set,
+                     playable_from)
+from .errors import (GameStateError, ProtocolViolationError,
                      SnapshotDomainError, StrategyDomainError)
 from .graph import (Graph, closed_neighborhood, induced_subgraph, iter_bits,
                     open_neighborhood, vertex_set, vertices_of)
@@ -27,18 +28,18 @@ STAGE_TRICKLE = 2
 
 
 class Strategy:
-    """Deterministic choice rule mapping a game state to a playable vertex.
+    """Deterministic choice rule mapping a position to a playable vertex.
 
-    A strategy's rule is :meth:`choose_from`, called with the graph, the
-    unmarked set ``U``, the mover, the opponent's previous move ``last``
-    (None when no move was made) and the played set; :meth:`choose` is the
-    same rule on a :class:`GameState` and its move history. Choices are
-    functions of ``U``, the mover and ``last``, not of the played set, so
-    the forced search shares one table entry among played sets with the
-    same ``U``; it asks for a choice right after the free move ``last``, so
-    ``last`` never enters a key. ``reads_played`` marks the exceptions that
-    read the played set itself: ``RandomStrategy`` seeds on it, and
-    ``BestResponseStrategy`` hands it to its search.
+    A strategy's one rule is :meth:`choose`, called with the graph, the
+    unmarked set ``U``, the mover, the previous move ``last`` (None when no
+    move was made) and the played set. Choices are functions of ``U``, the
+    mover and ``last``, not of the played set, so the forced search shares
+    one table entry among played sets with the same ``U``; it asks for a
+    choice right after the free move ``last``, so ``last`` never enters a
+    key. ``reads_played`` marks the exceptions that read the played set
+    itself: ``RandomStrategy`` seeds on it, and ``BestResponseStrategy``
+    hands it to its search. :meth:`note` is a remark on the choice made from
+    the same position, such as a fallback, or None.
 
     A strategy that searches defines ``_new_search(g)`` and reaches the
     search through ``_search_for``, which keeps it for the graph last played
@@ -50,28 +51,27 @@ class Strategy:
     reads_played = False
 
     def __init__(self):
-        self._pending_note: str | None = None
         self._search: tuple[Graph, object] | None = None
 
-    def choose(self, state: GameState, history: tuple[int, ...]) -> int:
-        return self.choose_from(state.graph, state.unmarked(), state.mover,
-                                history[-1] if history else None, state.played)
-
-    def choose_from(self, g: Graph, unmarked: int, mover: Player,
-                    last: int | None, played: int) -> int:
+    def choose(self, g: Graph, unmarked: int, mover: Player,
+               last: int | None, played: int) -> int:
         raise NotImplementedError
+
+    def note(self, g: Graph, unmarked: int, last: int | None) -> str | None:
+        return None
 
     def _search_for(self, g: Graph):
         if self._search is None or self._search[0] is not g:
             self._search = (g, self._new_search(g))
         return self._search[1]
 
-    def _flag(self, note: str) -> None:
-        self._pending_note = note
 
-    def pop_note(self) -> str | None:
-        note, self._pending_note = self._pending_note, None
-        return note
+def _check_choice(strategy: Strategy, v: int, played: int, playable: int) -> None:
+    """Raise :class:`ProtocolViolationError` unless ``v`` is in ``playable``."""
+    if v >= 0 and playable >> v & 1:
+        return
+    reason = "already-played" if v >= 0 and played >> v & 1 else "not-playable"
+    raise ProtocolViolationError(strategy.name, v, reason)
 
 
 def _mark_gains(g: Graph, unmarked: int, within: int = -1) -> list[tuple[int, int]]:
@@ -97,25 +97,26 @@ def _first_max(gains: list[tuple[int, int]]) -> int:
 
 def greedy_move(state: GameState) -> int:
     """Playable vertex marking the most new vertices; ties to lowest index."""
-    return GreedyDominator().choose(state, ())
+    return _first_max(_mark_gains(state.graph, state.unmarked()))
 
 
 def modified_greedy_move(state: GameState) -> int:
     """Greedy, preferring non-leaves among the maximizers when any exist."""
-    return ModifiedGreedyDominator().choose(state, ())
+    return ModifiedGreedyDominator().choose(state.graph, state.unmarked(),
+                                            state.mover, None, state.played)
 
 
 class GreedyDominator(Strategy):
     name = "greedy"
 
-    def choose_from(self, g, unmarked, mover, last, played):
+    def choose(self, g, unmarked, mover, last, played):
         return _first_max(_mark_gains(g, unmarked))
 
 
 class ModifiedGreedyDominator(Strategy):
     name = "modified-greedy"
 
-    def choose_from(self, g, unmarked, mover, last, played):
+    def choose(self, g, unmarked, mover, last, played):
         gains = _mark_gains(g, unmarked)
         best = max(gain for _, gain in gains)
         maximizers = [v for v, gain in gains if gain == best]
@@ -137,7 +138,7 @@ class RandomStrategy(Strategy):
         super().__init__()
         self.seed = seed
 
-    def choose_from(self, g, unmarked, mover, last, played):
+    def choose(self, g, unmarked, mover, last, played):
         playable = vertices_of(playable_from(g, unmarked))
         if not playable:
             raise GameStateError("no moves in a terminal state")
@@ -153,7 +154,7 @@ class OptimalStrategy(Strategy):
     def _new_search(self, g):
         return Solver(g)
 
-    def choose_from(self, g, unmarked, mover, last, played):
+    def choose(self, g, unmarked, mover, last, played):
         return self._search_for(g)._best_move(unmarked, mover is Player.DOMINATOR)
 
 
@@ -187,7 +188,7 @@ class ExtremalStaller(Strategy):
     there; in a 6-cycle the vertex at distance 3 from Dominator's move; in
     a 6-path her solver-optimal reply within the component. If the
     component offers no legal reply she falls back to her globally optimal
-    move and flags the trace.
+    move, and :meth:`note` says so.
     """
 
     name = "extremal"
@@ -208,7 +209,7 @@ class ExtremalStaller(Strategy):
         local = vertex_set(originals.index(v) for v in iter_bits(unmarked & members))
         return originals[solver._best_move(local, False)]
 
-    def choose_from(self, g, unmarked, mover, last, played):
+    def choose(self, g, unmarked, mover, last, played):
         kinds = self._search_for(g)[0]
         if mover is not Player.STALLER:
             raise StrategyDomainError("the extremal strategy plays Staller only")
@@ -220,7 +221,6 @@ class ExtremalStaller(Strategy):
         comp = g.components[comp_index]
         in_component = playable_from(g, unmarked) & comp
         if in_component == 0:
-            self._flag("component finished; fell back to the global optimal move")
             return self._optimal_within(g, unmarked, g.full_mask)
         kind = kinds[comp_index]
         if kind in ("P3", "C3"):
@@ -231,6 +231,13 @@ class ExtremalStaller(Strategy):
             if in_component >> antipode & 1:
                 return antipode
         return self._optimal_within(g, unmarked, comp)
+
+    def note(self, g, unmarked, last):
+        playable = playable_from(g, unmarked)
+        if last is not None and not any(comp >> last & 1 and playable & comp
+                                        for comp in g.components):
+            return "component finished; fell back to the global optimal move"
+        return None
 
 
 # -- simulation and traces ---------------------------------------------------
@@ -269,35 +276,24 @@ def _burst_available(cache: StateCache, played: int) -> bool:
 def simulate(g: Graph, dominator: Strategy, staller: Strategy,
              first_mover: Player = Player.DOMINATOR) -> GameTrace:
     """Play a complete game, recording per-move mark counts and stages."""
-    state = new_game(g, first_mover)
+    check_game_domain(g)
     cache = StateCache(g)
-    history: list[int] = []
+    played, last, mover = 0, None, first_mover
+    unmarked, playable = cache.info(played)
     records: list[MoveRecord] = []
-    last_dominator_stage: int | None = None
-    # A note left by an earlier search with the same instance (say, a
-    # forced best-response run) belongs to no move of this game.
-    dominator.pop_note()
-    staller.pop_note()
-    while cache.info(state.played)[0]:
-        mover = state.mover
+    while unmarked:
         strategy = dominator if mover is Player.DOMINATOR else staller
-        v = strategy.choose(state, tuple(history))
-        if mover is Player.DOMINATOR:
-            stage = STAGE_BURST if _burst_available(cache, state.played) else STAGE_TRICKLE
-            last_dominator_stage = stage
-        elif last_dominator_stage is not None:
-            stage = last_dominator_stage
-        else:
-            # Staller opens the game: classify by the pre-move position.
-            stage = STAGE_BURST if _burst_available(cache, state.played) else STAGE_TRICKLE
-        gain = cache.mark_gain(state.played, v) if cache.info(state.played)[1] >> v & 1 else 0
-        try:
-            state = state.play(v)
-        except IllegalMoveError as exc:
-            raise ProtocolViolationError(strategy.name, v, exc.reason) from exc
-        history.append(v)
-        records.append(MoveRecord(vertex=v, mover=mover, new_marks=gain,
-                                  stage=stage, note=strategy.pop_note()))
+        v = strategy.choose(g, unmarked, mover, last, played)
+        _check_choice(strategy, v, played, playable)
+        if mover is Player.STALLER and records:
+            stage = records[-1].stage  # Dominator's previous move
+        else:  # Dominator, or Staller opening: classify the pre-move position
+            stage = STAGE_BURST if _burst_available(cache, played) else STAGE_TRICKLE
+        records.append(MoveRecord(vertex=v, mover=mover,
+                                  new_marks=cache.mark_gain(played, v), stage=stage,
+                                  note=strategy.note(g, unmarked, last)))
+        played, last, mover = played | 1 << v, v, mover.other
+        unmarked, playable = cache.info(played)
     return GameTrace(graph=g, first_mover=first_mover, moves=tuple(records),
                      dominator_strategy=dominator.name, staller_strategy=staller.name)
 
@@ -371,7 +367,7 @@ class ForcedGameSolver(Solver):
     only: each free move ``v`` is followed at once by the strategy's reply
     in :meth:`_forced_reply`, so a child's value is ``1 + forced(U1, last=v)``.
     The forced step is not stored. It cuts off a window outside the bracket
-    ``[1, |U|]`` like :meth:`Solver._search`, asks ``choose_from`` with
+    ``[1, |U|]`` like :meth:`Solver._search`, asks ``choose`` with
     ``last = v``, steps ``U`` and searches on. ``last`` is therefore never a
     table key, and ``Solver``'s bound flags and window contract hold as they
     are. The played set rides along on the instance for the strategies that
@@ -425,9 +421,8 @@ class ForcedGameSolver(Solver):
         played = before if last is None else before | 1 << last
         g = self.graph
         strategy = self.strategy
-        v = strategy.choose_from(g, unmarked, self.fixed_role, last, played)
-        if not playable_from(g, unmarked) >> v & 1:
-            raise ProtocolViolationError(strategy.name, v, "not-playable")
+        v = strategy.choose(g, unmarked, self.fixed_role, last, played)
+        _check_choice(strategy, v, played, playable_from(g, unmarked))
         self._played = played | 1 << v
         value = 1 + self._search(_step(g.adj, unmarked, v), self._free_dom,
                                  alpha - 1, beta - 1)
@@ -465,7 +460,7 @@ class BestResponseStrategy(Strategy):
     def _new_search(self, g):
         return ForcedGameSolver(g, self.opponent, self.role.other)
 
-    def choose_from(self, g, unmarked, mover, last, played):
+    def choose(self, g, unmarked, mover, last, played):
         if mover is not self.role:
             raise StrategyDomainError(f"best-response built for {self.role}")
         return self._search_for(g).free_side_move(played, mover)

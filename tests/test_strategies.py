@@ -96,13 +96,15 @@ def test_modified_greedy_takes_leaf_when_forced():
 
 def test_extremal_c6_distance_three():
     state = new_game(cycle(6)).play(0)
-    assert ExtremalStaller().choose(state, (0,)) == 3
+    assert ExtremalStaller().choose(state.graph, state.unmarked(), Player.STALLER,
+                                    0, state.played) == 3
 
 
 def test_extremal_p3_component_marks_all():
     g = from_shorthand("P3+C6")
     state = new_game(g).play(1)  # center of the P3 block
-    reply = ExtremalStaller().choose(state, (1,))
+    reply = ExtremalStaller().choose(g, state.unmarked(), Player.STALLER, 1,
+                                     state.played)
     assert reply in (0, 2)
     after = state.play(reply)
     assert after.unmarked() & vertex_set([0, 1, 2]) == 0
@@ -111,13 +113,14 @@ def test_extremal_p3_component_marks_all():
 def test_extremal_rejects_unsupported_family():
     state = new_game(cycle(4)).play(0)
     with pytest.raises(StrategyDomainError):
-        ExtremalStaller().choose(state, (0,))
+        ExtremalStaller().choose(state.graph, state.unmarked(), Player.STALLER,
+                                 0, state.played)
 
 
 def test_extremal_rejects_wrong_turn():
-    state = new_game(cycle(6))
+    g = cycle(6)
     with pytest.raises(StrategyDomainError):
-        ExtremalStaller().choose(state, ())
+        ExtremalStaller().choose(g, g.full_mask, Player.DOMINATOR, None, 0)
 
 
 def test_extremal_component_move_counts():
@@ -147,9 +150,9 @@ def test_extremal_falls_back_to_the_global_optimal_move():
 
 
 def test_a_note_left_by_a_forced_search_tags_no_move_of_a_later_game():
-    """A forced search that falls back leaves a note on the instance; a
-    later simulation with that instance records the notes a fresh one
-    does."""
+    """A note is a function of the position alone, so a forced search that
+    falls back leaves nothing on the instance: a later simulation with that
+    instance records the notes a fresh one does."""
     g = from_shorthand("P6+P3")
     reused = ExtremalStaller()
     best_response_value(g, reused, Player.STALLER)
@@ -371,7 +374,7 @@ def test_forced_illegal_move_is_a_protocol_violation():
     class Stubborn(Strategy):
         name = "stubborn"
 
-        def choose_from(self, g, unmarked, mover, last, played):
+        def choose(self, g, unmarked, mover, last, played):
             return 0
 
     g = path(5)  # vertex 0 stops being playable once played
@@ -379,6 +382,68 @@ def test_forced_illegal_move_is_a_protocol_violation():
         best_response_value(g, Stubborn(), Player.DOMINATOR)
     with pytest.raises(ProtocolViolationError, match="stubborn"):
         oracles.brute_forced_value(g, Stubborn(), Player.DOMINATOR)
+
+
+class _Fixed(Strategy):
+    """Always chooses the same vertex, legal or not."""
+
+    name = "fixed"
+
+    def __init__(self, v):
+        super().__init__()
+        self.v = v
+
+    def choose(self, g, unmarked, mover, last, played):
+        return self.v
+
+
+def test_a_choice_outside_the_graph_is_a_protocol_violation():
+    """Simulation, the forced search and the oracle reject a choice of -1 or
+    n as not playable, and a played vertex as already played."""
+    g = path(5)
+    for v, reason in ((-1, "not-playable"), (g.n, "not-playable"),
+                      (0, "already-played")):
+        strategy = _Fixed(v)
+        for run in (lambda: simulate(g, strategy, GreedyDominator()),
+                    lambda: best_response_value(g, strategy, Player.DOMINATOR),
+                    lambda: oracles.brute_forced_value(g, strategy, Player.DOMINATOR)):
+            with pytest.raises(ProtocolViolationError, match="fixed") as info:
+                run()
+            assert (info.value.vertex, info.value.reason) == (v, reason)
+
+
+class _Recording(GreedyDominator):
+    """Greedy, asserting on every call the position a strategy is handed."""
+
+    def __init__(self, role):
+        super().__init__()
+        self.role = role
+        self.calls = 0
+
+    def choose(self, g, unmarked, mover, last, played):
+        assert unmarked == marked_set(g, played).unmarked
+        assert mover is self.role
+        assert last is None or played >> last & 1
+        self.calls += 1
+        return super().choose(g, unmarked, mover, last, played)
+
+
+def test_every_caller_hands_a_strategy_its_position():
+    """Simulation, the forced search and the oracle call ``choose`` with the
+    unmarked set of the played set, the strategy's own role, and a previous
+    move that was played."""
+    for text in ("C6", "P3+C6"):
+        g = from_shorthand(text)
+        for first in Player:
+            dominator, staller = _Recording(Player.DOMINATOR), _Recording(Player.STALLER)
+            simulate(g, dominator, staller, first)
+            recorders = [dominator, staller]
+            for role in Player:
+                forced, brute = _Recording(role), _Recording(role)
+                assert (best_response_value(g, forced, role, first)
+                        == oracles.brute_forced_value(g, brute, role, first))
+                recorders += [forced, brute]
+            assert all(recorder.calls for recorder in recorders), (text, first)
 
 
 def _histories(g):
@@ -448,7 +513,7 @@ def test_forced_memo_keys_on_the_unmarked_set():
         while frontier:
             unmarked, mover = frontier.pop()
             if mover is Player.DOMINATOR:
-                moves = [greedy.choose_from(g, unmarked, mover, None, 0)]
+                moves = [greedy.choose(g, unmarked, mover, None, 0)]
             else:
                 moves = iter_bits(playable_from(g, unmarked))
             for v in moves:

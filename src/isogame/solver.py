@@ -6,8 +6,11 @@ playing ``w`` gives the next ``U`` from ``U`` and ``w`` alone (see
 :func:`_step`). So legal moves and the remaining move count are functions
 of (``U``, mover), and every played set that reaches the same ``U`` shares
 one table entry. Dominator minimizes and Staller maximizes the number of
-moves in the completed game. All tie-breaks are lowest vertex index, so
-values and principal variations are reproducible.
+moves in the completed game. The search tries a mover's children in the
+order of the unmarked neighbors each move marks, Dominator's most first
+and Staller's fewest first, ties by lowest index; :meth:`Solver.best_move`
+and principal variations take the lowest-index optimal move, so they are
+reproducible and do not depend on that order.
 
 Two exact reductions keep the search small. Every legal move marks its
 unmarked witness, so a non-terminal value lies in ``[1, |U|]``, and a window
@@ -238,11 +241,25 @@ class Solver:
     stores nothing. The public methods take a played set and convert it to
     its unmarked set once, through ``cache``.
 
+    Alpha-beta cuts the most when the best child comes first, so a node
+    tries its playable vertices ``v`` by ``|U & N(v)|``, the unmarked
+    neighbors that playing ``v`` marks (a cheap form of the paper's greedy
+    rule): the most first for Dominator, the fewest first for Staller, ties
+    by lowest index. Each child is stepped only when it is visited.
+
     :meth:`at_most` answers a yes/no question about the value with one
     null-window search (the test of MTD(f), Plaat et al. 1996): the window
     ``(k, k + 1)`` cuts every line once the answer is known, and its bound
     entries stay in the same table, so a later exact :meth:`value` reuses
     them.
+
+    :meth:`best_move` still scans in index order for the lowest-index
+    child attaining the value ``t``, but tests each child with one such
+    null-window search instead of an exact one. Every Dominator child is
+    worth at least ``t - 1``, so under the window ``(t - 1, t)`` a result
+    at or below ``t - 1`` says it attains ``t``; every Staller child is
+    worth at most ``t - 1``, so under ``(t - 2, t - 1)`` a result at or
+    above ``t - 1`` says so.
 
     A subclass may force one side's moves by defining ``_forced_reply(U,
     last, alpha, beta)``, the moves left after the free side played
@@ -321,7 +338,8 @@ class Solver:
         forced = self._forced_reply
         best = None
         other = not dom
-        for v in iter_bits(playable_from(self.graph, unmarked)):
+        for v in sorted(iter_bits(playable_from(self.graph, unmarked)),
+                        key=lambda w: (unmarked & adj[w]).bit_count(), reverse=dom):
             after = _step(adj, unmarked, v)
             if forced is None:
                 child = 1 + search(after, other, alpha - 1, beta - 1)
@@ -356,14 +374,17 @@ class Solver:
             raise GameStateError("no optimal move in a terminal state")
         adj = self.graph.adj
         forced = self._forced_reply
-        target = self._search(unmarked, dom)
+        # A child attains the value iff it is worth ``need``, and every
+        # child lies on one side of it, so a null window settles each.
+        need = self._search(unmarked, dom) - 1
+        alpha, beta = (need, need + 1) if dom else (need - 1, need)
         for v in iter_bits(playable_from(self.graph, unmarked)):
             after = _step(adj, unmarked, v)
             if forced is None:
-                child = self._search(after, not dom)
+                child = self._search(after, not dom, alpha, beta)
             else:
-                child = forced(after, v, -1, _UNBOUNDED)
-            if 1 + child == target:
+                child = forced(after, v, alpha, beta)
+            if child <= alpha if dom else child >= beta:
                 return v
         raise AssertionError("some child must attain the minimax value")
 

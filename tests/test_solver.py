@@ -60,13 +60,90 @@ def test_cp_gap_examples():
     assert cp_gap(cycle(5)) == -1
 
 
-def test_principal_variation_replays_to_terminal():
+def _lowest_index_optimal_line(g, first):
+    """The line that takes, at each step, the lowest-index legal move
+    attaining the mover's optimum, by the memo-free oracle."""
+    played, mover, line = set(), first, []
+    while moves := oracles.legal_moves(g, played):
+        values = {v: oracles.brute_solve_from(g, played | {v}, mover.other)
+                  for v in moves}
+        best = (min if mover is Player.DOMINATOR else max)(values.values())
+        v = min(v for v in moves if values[v] == best)
+        line.append(v)
+        played.add(v)
+        mover = mover.other
+    return tuple(line)
+
+
+def test_principal_variation_replays_to_terminal(small_connected):
+    """Every principal variation replays to a terminal state, and on the
+    corpus graphs of order at most 6 it is the oracle's lowest-index
+    optimal line, although the search orders its children otherwise."""
     for g in (P5, cycle(6), complete(4), random_connected(9, 0.4, 1, seed=2)):
         for first in (Player.DOMINATOR, Player.STALLER):
             value = solve(g, first)
             state = replay(g, value.principal_variation, first)
             assert state.is_terminal()
             assert len(value.principal_variation) == value.total_moves
+    assert len(small_connected) == 141
+    for g in small_connected:
+        for first in (Player.DOMINATOR, Player.STALLER):
+            assert (solve(g, first).principal_variation
+                    == _lowest_index_optimal_line(g, first)), (g, first)
+
+
+PINNED_LINES = {
+    ("C18", Player.DOMINATOR): (0, 2, 1, 3, 7, 6, 11, 17, 10, 12, 13),
+    ("C18", Player.STALLER): (0, 1, 2, 5, 4, 8, 7, 12, 11, 14, 13),
+    ("C20", Player.DOMINATOR): (0, 1, 4, 3, 7, 6, 10, 9, 14, 13, 16, 15),
+    ("C20", Player.STALLER): (0, 1, 2, 6, 8, 7, 9, 13, 19, 12, 14, 15),
+    ("P18", Player.DOMINATOR): (2, 17, 3, 4, 7, 6, 10, 9, 13, 12, 16),
+    ("1", Player.DOMINATOR): (0, 1, 3, 2, 4, 10),
+    ("1", Player.STALLER): (7, 0, 9, 1, 13, 10, 12),
+    ("2", Player.DOMINATOR): (1, 0, 3, 2, 4, 6),
+    ("2", Player.STALLER): (0, 1, 2, 3, 4, 6),
+    ("3", Player.DOMINATOR): (3, 0, 1, 8, 2, 5, 9),
+    ("3", Player.STALLER): (17, 0, 2, 1, 13, 3, 5, 9),
+    ("4", Player.DOMINATOR): (4, 0, 11, 14, 1, 7),
+    ("4", Player.STALLER): (1, 11, 2, 10, 0, 5),
+}
+
+
+def test_principal_variations_past_the_oracle_are_pinned():
+    """Lowest-index principal variations on graphs too large for the
+    oracle: C18, C20 and P18, and the four relabelled random graphs of
+    ``perfbench/expected/random.txt`` (numbered there) at their pinned
+    values."""
+    pinned = Path(__file__).parents[1] / "perfbench" / "expected" / "random.txt"
+    rows = [line.split() for line in pinned.read_text().splitlines() if line.strip()]
+    graphs = {"C18": cycle(18), "C20": cycle(20), "P18": path(18)}
+    values = {}
+    for name, text, igt, igts in rows:
+        graphs[name] = parse_graph6(text)
+        values[name, Player.DOMINATOR] = int(igt)
+        values[name, Player.STALLER] = int(igts)
+    assert len(graphs) == 7
+    for (name, first), line in PINNED_LINES.items():
+        value = solve(graphs[name], first)
+        assert value.principal_variation == line, (name, first)
+        assert value.total_moves == values.get((name, first), len(line))
+
+
+def test_children_are_searched_by_unmarked_neighbors(monkeypatch):
+    """Dominator tries the child marking the most first and Staller the
+    fewest, so the C18 Dominator value takes at most 5500 nodes, where
+    lowest-index order takes 10969."""
+    calls = 0
+    search = Solver._search
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return search(self, *args)
+
+    monkeypatch.setattr(Solver, "_search", counted)
+    assert Solver(cycle(18)).value(0, Player.DOMINATOR) == 11
+    assert calls <= 5500
 
 
 def test_value_at_least_two():

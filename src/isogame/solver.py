@@ -18,12 +18,14 @@ outside that bracket is cut off at once. And a graph automorphism maps a
 state to one of equal value, so table entries are shared per automorphism
 orbit of ``U`` (Allis 1994): on a graph of more than 8 vertices on which at
 least ``n`` automorphisms are found (the search stops at ``2n``), the table
-keys on the least image of ``U`` under them. When those form the whole
-group, as a cycle's ``2n`` rotations and reflections do, one entry serves
-the whole orbit. When they are not closed under composition (on Petersen
-and Q4, say), two images of ``U`` may still get different keys, so an orbit
-can fill several entries; since every image is automorphic to ``U``, an
-entry never serves a state of another value.
+keys on the least image of ``U`` under them. Each :class:`Solver` memoizes
+that key in a dict freed with it, one entry per distinct ``U`` the search
+keys. When those automorphisms form the whole group, as a cycle's ``2n``
+rotations and reflections do, one entry serves the whole orbit. When they
+are not closed under composition (on Petersen and Q4, say), two images of
+``U`` may still get different keys, so an orbit can fill several entries;
+since every image is automorphic to ``U``, an entry never serves a state of
+another value.
 """
 
 from __future__ import annotations
@@ -211,14 +213,14 @@ def _image_tables(autos: list[tuple[int, ...]], n: int
                   ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Per 8-bit chunk of a vertex set, each chunk value's images under
     ``autos``; an image of a set is the OR of its chunks' images."""
+    images_of = [tuple(1 << sigma[v] for sigma in autos) for v in range(n)]
     tables = []
     for base in range(0, n, 8):
         rows: list[tuple[int, ...]] = [(0,) * len(autos)]
         for value in range(1, 1 << min(8, n - base)):
             low = value & -value
             bit = base + low.bit_length() - 1
-            rows.append(tuple(rest | 1 << sigma[bit] for rest, sigma
-                              in zip(rows[value ^ low], autos)))
+            rows.append(tuple(map(or_, rows[value ^ low], images_of[bit])))
         tables.append(tuple(rows))
     return tuple(tables)
 
@@ -235,11 +237,13 @@ class Solver:
     orbit key is kept only when ``n > 8`` (below that, one 8-bit chunk
     table of images already holds as many entries as the state space) and
     at least ``n`` automorphisms were found (a smaller group saves too few
-    entries to repay the key). Before the table is probed, a non-terminal
-    state whose bracket ``[1, |U|]`` lies outside the window returns the
-    nearer end, ``|U|`` when ``|U| <= alpha`` or 1 when ``beta <= 1``, and
-    stores nothing. The public methods take a played set and convert it to
-    its unmarked set once, through ``cache``.
+    entries to repay the key). The orbit key is memoized per ``Solver``, in
+    a dict that holds one entry per distinct ``U`` the search keys and is
+    freed with the solver. Before the table is probed, a non-terminal state
+    whose bracket ``[1, |U|]`` lies outside the window returns the nearer
+    end, ``|U|`` when ``|U| <= alpha`` or 1 when ``beta <= 1``, and stores
+    nothing. The public methods take a played set and convert it to its
+    unmarked set once, through ``cache``.
 
     Alpha-beta cuts the most when the best child comes first, so a node
     tries its playable vertices ``v`` by ``|U & N(v)|``, the unmarked
@@ -277,6 +281,7 @@ class Solver:
         self.graph = g
         self.cache = StateCache(g)
         self._table: dict[int, tuple[int, int]] = {}
+        self._keys: dict[int, int] = {}
         self._hits = 0
         autos = _automorphisms(g, 2 * g.n) if g.n > 8 and self._orbit_keyed else []
         self._images = _image_tables(autos, g.n) if len(autos) >= g.n else None
@@ -362,12 +367,16 @@ class Solver:
         return best
 
     def _canonical(self, unmarked: int) -> int:
-        """Least image of ``unmarked`` under the automorphisms kept."""
-        tables = self._images
-        images = tables[0][unmarked & 255]
-        for shift in range(8, self.graph.n, 8):
-            images = map(or_, images, tables[shift >> 3][unmarked >> shift & 255])
-        return min(images)
+        """Least image of ``unmarked`` under the automorphisms kept,
+        computed once per distinct ``unmarked`` and memoized."""
+        key = self._keys.get(unmarked)
+        if key is None:
+            tables = self._images
+            images = tables[0][unmarked & 255]
+            for shift in range(8, self.graph.n, 8):
+                images = map(or_, images, tables[shift >> 3][unmarked >> shift & 255])
+            key = self._keys[unmarked] = min(images)
+        return key
 
     def _best_move(self, unmarked: int, dom: bool) -> int:
         if not unmarked:

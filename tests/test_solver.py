@@ -17,7 +17,7 @@ from isogame import lab, strategies
 from isogame.graph import Graph, vertex_set, vertices_of
 from isogame.graph6 import parse_graph6
 from isogame.solver import (_EXACT, _LOWER, _UPPER, Solver, _automorphisms,
-                            _step, cp_gap, solve, solve_both,
+                            _image_tables, _step, cp_gap, solve, solve_both,
                             solver_cap_from_env)
 
 P5 = path(5)
@@ -244,11 +244,17 @@ def test_step_matches_marked_set_along_random_playouts(spec):
 def test_c18_table_holds_one_entry_per_unmarked_state():
     """Played sets that reach the same unmarked set share an entry, and so
     do rotations and reflections of it: C18's two starts fill 159530
-    entries keyed on the played set and 19796 keyed on the unmarked set."""
+    entries keyed on the played set and 19796 keyed on the unmarked set.
+    Each start's ``game_value`` fills a pinned number of entries, so a key
+    that merges or splits orbits fails here."""
     solver = Solver(cycle(18))
     assert solver.value(0, Player.DOMINATOR) == 11
     assert solver.value(0, Player.STALLER) == 11
     assert solver.stats.states <= 19796 // 10
+    for first, states in ((Player.DOMINATOR, 935), (Player.STALLER, 1008)):
+        single = Solver(cycle(18))
+        single.game_value(first)
+        assert single.stats.states == states
 
 
 def test_value_honours_every_window():
@@ -357,6 +363,27 @@ def test_canonical_key_is_invariant_under_the_automorphisms_found(name):
             line = solver.game_value(first)
             assert line.total_moves == value
             assert _replays_under_the_oracle(g, line.principal_variation)
+        assert {key >> 1 for key in solver._table} <= set(solver._keys.values())
+        for unmarked, key in solver._keys.items():
+            assert key == min(_image(sigma, unmarked) for sigma in autos)
+            assert solver._canonical(unmarked) == key
+        other = Solver(g)
+        assert other._keys == {} and other._keys is not solver._keys
+
+
+@pytest.mark.parametrize("name", ["C9", "C10", "C11", "C12", "Petersen", "Q4"])
+def test_image_tables_hold_each_chunk_value_image(name):
+    """Row ``value`` of the chunk at ``base`` holds, per automorphism, the
+    image of the set ``value << base``."""
+    g = SYMMETRIC[name]
+    autos = _automorphisms(g, 2 * g.n)
+    tables = _image_tables(autos, g.n)
+    assert len(tables) == (g.n + 7) // 8
+    for chunk, rows in enumerate(tables):
+        base = 8 * chunk
+        assert len(rows) == 1 << min(8, g.n - base)
+        for value, row in enumerate(rows):
+            assert row == tuple(_image(sigma, value << base) for sigma in autos)
 
 
 def test_symmetry_is_kept_past_8_vertices_with_n_automorphisms(corpus_graphs):

@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diam2 = sub.add_parser("diam2",
                              help="random-graph sampling of the diameter-2 bound")
-    p_diam2.add_argument("--n", type=int, required=True)
+    p_diam2.add_argument("--n", type=_int_at_least(1), required=True)
     p_diam2.add_argument("--p", type=_probability, required=True)
     p_diam2.add_argument("--trials", type=_int_at_least(1), required=True)
     p_diam2.add_argument("--seed", type=int, default=0)

@@ -80,33 +80,29 @@ class TableStats:
 
 
 class StateCache:
-    """(unmarked mask, playable mask) per played set, for one graph.
+    """The unmarked set of each played set, for one graph.
 
     A plain memo owned by the solve or simulation that creates it, so its
     marks are freed together with that owner. Its remaining users are the
     played-set boundary of :class:`Solver` (``value``, ``best_move`` and
-    ``game_value``) and :func:`strategies.simulate`; the searches themselves
-    step the unmarked set with :func:`_step`.
+    ``game_value``, and the forced solver's ``value_from`` and
+    ``free_side_move``) and :func:`strategies.simulate`; the searches
+    themselves step the unmarked set with :func:`_step`.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
-        self._info: dict[int, tuple[int, int]] = {}
+        self._info: dict[int, int] = {}
 
-    def info(self, played: int) -> tuple[int, int]:
-        cached = self._info.get(played)
-        if cached is not None:
-            return cached
-        g = self.graph
-        unmarked = marked_set(g, played).unmarked
-        result = self._info[played] = (unmarked, playable_from(g, unmarked))
-        return result
+    def info(self, played: int) -> int:
+        unmarked = self._info.get(played)
+        if unmarked is None:
+            unmarked = self._info[played] = marked_set(self.graph, played).unmarked
+        return unmarked
 
     def mark_gain(self, played: int, v: int) -> int:
         """Number of vertices newly marked by playing ``v``."""
-        before = self.info(played)[0]
-        after = self.info(played | 1 << v)[0]
-        return before.bit_count() - after.bit_count()
+        return self.info(played).bit_count() - self.info(played | 1 << v).bit_count()
 
 
 def check_solvable(g: Graph) -> None:
@@ -269,12 +265,11 @@ class Solver:
     last, alpha, beta)``, the moves left after the free side played
     ``last``; ``_search`` and ``_best_move`` then take it as each child's
     value, less the move just made, and the table holds free-side states
-    only. ``_key_of``, when set, maps ``U`` to the table's key in place of
-    ``U``, and ``_orbit_keyed = False`` turns the orbit key off.
+    only, never keyed on an orbit. ``_key_of``, when set, maps ``U`` to the
+    table's key in place of ``U``.
     """
 
     _forced_reply = None
-    _orbit_keyed = True
 
     def __init__(self, g: Graph):
         check_solvable(g)
@@ -283,7 +278,8 @@ class Solver:
         self._table: dict[int, tuple[int, int]] = {}
         self._keys: dict[int, int] = {}
         self._hits = 0
-        autos = _automorphisms(g, 2 * g.n) if g.n > 8 and self._orbit_keyed else []
+        # A forced strategy breaks ties by index, which an automorphism does not preserve.
+        autos = _automorphisms(g, 2 * g.n) if g.n > 8 and self._forced_reply is None else []
         self._images = _image_tables(autos, g.n) if len(autos) >= g.n else None
         self._key_of = None if self._images is None else self._canonical
 
@@ -299,7 +295,7 @@ class Solver:
         result strictly inside it is exact, one at or below ``alpha`` is an
         upper bound and one at or above ``beta`` a lower bound.
         """
-        return self._search(self.cache.info(played)[0],
+        return self._search(self.cache.info(played),
                             mover is Player.DOMINATOR, alpha, beta)
 
     def at_most(self, mover: Player, k: int) -> bool:
@@ -399,12 +395,12 @@ class Solver:
 
     def best_move(self, played: int, mover: Player) -> int:
         """Lowest-index playable vertex attaining the mover's optimum."""
-        return self._best_move(self.cache.info(played)[0],
+        return self._best_move(self.cache.info(played),
                                mover is Player.DOMINATOR)
 
     def game_value(self, first_mover: Player) -> GameValue:
         total = self.value(0, first_mover)
-        unmarked = self.cache.info(0)[0]
+        unmarked = self.cache.info(0)
         dom = first_mover is Player.DOMINATOR
         variation = []
         while unmarked:
@@ -424,8 +420,8 @@ def solve(g: Graph, first_mover: Player = Player.DOMINATOR) -> GameValue:
 
 def cp_gap(g: Graph) -> int:
     """Staller-start value minus Dominator-start value (signed)."""
-    solver = Solver(g)
-    return solver.value(0, Player.STALLER) - solver.value(0, Player.DOMINATOR)
+    igt, igts = solve_both(g)
+    return igts - igt
 
 
 def solve_both(g: Graph) -> tuple[int, int]:

@@ -267,33 +267,28 @@ class GameTrace:
         return vertex_set(record.vertex for record in self.moves[:index])
 
 
-def _burst_available(cache: StateCache, played: int) -> bool:
-    """True while some legal move still marks two or more new vertices."""
-    return any(cache.mark_gain(played, v) >= 2
-               for v in iter_bits(cache.info(played)[1]))
-
-
 def simulate(g: Graph, dominator: Strategy, staller: Strategy,
              first_mover: Player = Player.DOMINATOR) -> GameTrace:
     """Play a complete game, recording per-move mark counts and stages."""
     check_game_domain(g)
     cache = StateCache(g)
     played, last, mover = 0, None, first_mover
-    unmarked, playable = cache.info(played)
+    unmarked = cache.info(played)
     records: list[MoveRecord] = []
     while unmarked:
         strategy = dominator if mover is Player.DOMINATOR else staller
         v = strategy.choose(g, unmarked, mover, last, played)
-        _check_choice(strategy, v, played, playable)
+        _check_choice(strategy, v, played, playable_from(g, unmarked))
         if mover is Player.STALLER and records:
             stage = records[-1].stage  # Dominator's previous move
         else:  # Dominator, or Staller opening: classify the pre-move position
-            stage = STAGE_BURST if _burst_available(cache, played) else STAGE_TRICKLE
+            burst = any(gain >= 2 for _, gain in _mark_gains(g, unmarked))
+            stage = STAGE_BURST if burst else STAGE_TRICKLE
         records.append(MoveRecord(vertex=v, mover=mover,
                                   new_marks=cache.mark_gain(played, v), stage=stage,
                                   note=strategy.note(g, unmarked, last)))
         played, last, mover = played | 1 << v, v, mover.other
-        unmarked, playable = cache.info(played)
+        unmarked = cache.info(played)
     return GameTrace(graph=g, first_mover=first_mover, moves=tuple(records),
                      dominator_strategy=dominator.name, staller_strategy=staller.name)
 
@@ -378,11 +373,10 @@ class ForcedGameSolver(Solver):
     ``Solver``'s automorphism orbit: the strategies break ties by lowest
     index, which an automorphism does not preserve, so automorphic states
     can have different forced values. The entry points are
-    :meth:`value_from` and :meth:`free_side_move`; ``Solver``'s played-set
+    :meth:`value_from` and :meth:`free_side_move`, which convert the played
+    set to ``U`` through the solver's ``cache``; ``Solver``'s played-set
     methods know nothing of the forced side.
     """
-
-    _orbit_keyed = False
 
     def __init__(self, g: Graph, strategy: Strategy, fixed_role: Player):
         super().__init__(g)
@@ -399,7 +393,7 @@ class ForcedGameSolver(Solver):
     def value_from(self, played: int, mover: Player, last: int | None = None) -> int:
         """Forced game length from ``played`` with ``mover`` to move; ``last``
         is the previous move, which the forced side's strategy may read."""
-        unmarked = marked_set(self.graph, played).unmarked
+        unmarked = self.cache.info(played)
         self._played = played
         if mover is self.fixed_role:
             return self._forced_reply(unmarked, last, -1, _UNBOUNDED)
@@ -434,8 +428,7 @@ class ForcedGameSolver(Solver):
         if mover is self.fixed_role:
             raise GameStateError("the forced side has no choice to optimize")
         self._played = played
-        return self._best_move(marked_set(self.graph, played).unmarked,
-                               self._free_dom)
+        return self._best_move(self.cache.info(played), self._free_dom)
 
 
 def best_response_value(g: Graph, strategy: Strategy, fixed_role: Player,

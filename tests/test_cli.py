@@ -199,6 +199,7 @@ def test_verify_unknown_bound_is_usage_error(capsys, tmp_path):
     ("verify", "unused.g6", "--jobs", "0"),
     ("verify", "unused.g6", "--jobs", "-3"),
     ("diam2", "--n", "8", "--p", "0.5", "--trials", "0"),
+    ("diam2", "--n", "0", "--p", "0.5", "--trials", "3"),
 ])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

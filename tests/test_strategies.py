@@ -208,6 +208,36 @@ def test_greedy_burst_moves_mark_at_least_two():
                 assert record.new_marks >= 2
 
 
+def test_stages_and_marks_match_the_oracle(small_connected):
+    """Every move is legal, marks as many vertices as the oracle's marked
+    set grows by, and is burst stage iff some legal move then marks at
+    least two; a Staller reply inherits the stage of the move before."""
+    games = [(g, dom, staller, first) for g in small_connected
+             for dom, staller in ((GreedyDominator(), OptimalStrategy()),
+                                  (ModifiedGreedyDominator(), RandomStrategy(3)))
+             for first in Player]
+    games += [(from_shorthand(text), GreedyDominator(), ExtremalStaller(),
+               Player.DOMINATOR)
+              for text in ("P3+C3", "P6+C6", "P3+C3+P6", "C3+P3+C6", "P3+C3+P3+C3")]
+    assert len(games) == 569
+    for g, dom, staller, first in games:
+        trace = simulate(g, dom, staller, first)
+        played: set[int] = set()
+        for i, record in enumerate(trace.moves):
+            legal = oracles.legal_moves(g, played)
+            assert record.vertex in legal
+            marked = len(oracles.marked_vertices(g, played))
+            if record.mover is Player.STALLER and i > 0:
+                assert record.stage == trace.moves[i - 1].stage
+            else:
+                burst = any(len(oracles.marked_vertices(g, played | {w})) - marked >= 2
+                            for w in legal)
+                assert record.stage == (STAGE_BURST if burst else STAGE_TRICKLE)
+            played.add(record.vertex)
+            assert record.new_marks == len(oracles.marked_vertices(g, played)) - marked
+        assert not oracles.legal_moves(g, played)
+
+
 def test_mover_alternation_in_traces():
     trace = simulate(cycle(5), GreedyDominator(), RandomStrategy(1),
                      Player.STALLER)
@@ -587,16 +617,18 @@ def test_forced_search_honours_every_window():
 
 def test_forced_table_never_keys_on_orbits():
     """On C12 ``Solver`` keys on automorphism orbits (n > 8, 24 found), but
-    the forced table must not: greedy's lowest-index ties make automorphic
-    states differ. Greedy- and modified-greedy-forced values from every
-    position two moves in, each strategy on one shared table, match the
-    memo-free oracle; an orbit-keyed forced table gets 8 of these 264 wrong."""
+    a forced search must not, and builds no orbit tables: greedy's
+    lowest-index ties make automorphic states differ. Greedy- and
+    modified-greedy-forced values from every position two moves in, each
+    strategy on one shared table, match the memo-free oracle; an
+    orbit-keyed forced table gets 8 of these 264 wrong."""
     g = cycle(12)
     assert Solver(g)._images is not None
     two_in = [h for h in _histories(g).values() if len(h) == 2]
     assert len(two_in) == 66
     for strategy in (GreedyDominator(), ModifiedGreedyDominator()):
         search = ForcedGameSolver(g, strategy, Player.DOMINATOR)
+        assert search._images is None
         for history in two_in:
             for first in Player:
                 want = oracles.brute_forced_value(g, strategy, Player.DOMINATOR,

@@ -14,6 +14,7 @@ import csv
 import itertools
 import json
 import multiprocessing
+import os
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
@@ -119,10 +120,12 @@ def verify(entries: Iterable[CorpusEntry], bound_names: tuple[str, ...] | None =
     """Evaluate every parsed graph against the (filtered) bound set.
 
     Entries are consumed one at a time; solving is sharded across ``jobs``
-    processes, and reports come back in input order either way. The bounds
+    processes, at most the CPU count (so one CPU takes the serial path),
+    and reports come back in input order either way. The bounds
     are evaluated once per distinct ``bounds.check_key`` in a run: reports
     with the same key share one ``checks`` tuple.
     """
+    jobs = min(jobs, os.cpu_count() or 1)
     specs = bounds_by_name(bound_names)  # fails fast on unknown names
     memo: dict[tuple, tuple[BoundCheck, ...]] = {}
 

@@ -42,7 +42,6 @@ from .graph import Graph, iter_bits, vertex_set
 DEFAULT_SOLVER_CAP = 20
 SOLVER_CAP_ENV = "ISOGAME_SOLVER_CAP"
 
-_EXACT, _LOWER, _UPPER = 0, 1, 2
 _UNBOUNDED = sys.maxsize
 
 
@@ -225,21 +224,23 @@ class Solver:
     """Alpha-beta minimax with a transposition table, for one graph.
 
     The search runs on (unmarked set, mover) states. One table serves both
-    starts: entries are keyed by ``key << 1 | dominator_to_move`` and carry
-    a bound flag, so a value found under a cut window is never read back as
-    exact (Knuth & Moore 1975). The key is the unmarked set itself, or the
-    least image of it under up to ``2n`` automorphisms found in
-    ``__init__``, so that entries are shared per automorphism orbit. The
-    orbit key is kept only when ``n > 8`` (below that, one 8-bit chunk
-    table of images already holds as many entries as the state space) and
-    at least ``n`` automorphisms were found (a smaller group saves too few
-    entries to repay the key). The orbit key is memoized per ``Solver``, in
-    a dict that holds one entry per distinct ``U`` the search keys and is
-    freed with the solver. Before the table is probed, a non-terminal state
-    whose bracket ``[1, |U|]`` lies outside the window returns the nearer
-    end, ``|U|`` when ``|U| <= alpha`` or 1 when ``beta <= 1``, and stores
-    nothing. The public methods take a played set and convert it to its
-    unmarked set once, through ``cache``.
+    starts: entries are keyed by ``key << 1 | dominator_to_move`` and hold
+    bounds ``(low, high)`` on the value, exact when ``low == high`` and
+    ``-_UNBOUNDED`` or ``_UNBOUNDED`` for a bound not yet known, so a value
+    found under a cut window is never read back as exact (Knuth & Moore
+    1975; the two-bound entries of MTD(f), Plaat et al. 1996). The key is
+    the unmarked set itself, or the least image of it under up to ``2n``
+    automorphisms found in ``__init__``, so that entries are shared per
+    automorphism orbit. The orbit key is kept only when ``n > 8`` (below
+    that, one 8-bit chunk table of images already holds as many entries as
+    the state space) and at least ``n`` automorphisms were found (a smaller
+    group saves too few entries to repay the key). The orbit key is memoized
+    per ``Solver``, in a dict that holds one entry per distinct ``U`` the
+    search keys and is freed with the solver. Before the table is probed, a
+    non-terminal state whose bracket ``[1, |U|]`` lies outside the window
+    returns the nearer end, ``|U|`` when ``|U| <= alpha`` or 1 when
+    ``beta <= 1``, and stores nothing. The public methods take a played set
+    and convert it to its unmarked set once, through ``cache``.
 
     Alpha-beta cuts the most when the best child comes first, so a node
     tries its playable vertices ``v`` by ``|U & N(v)|``, the unmarked
@@ -322,17 +323,11 @@ class Solver:
         key = (unmarked if key_of is None else key_of(unmarked)) << 1 | dom
         entry = self._table.get(key)
         if entry is not None:
-            flag, stored = entry
-            if flag == _EXACT:
+            low, high = entry
+            if low >= beta or high <= alpha or low == high:
                 self._hits += 1
-                return stored
-            if flag == _LOWER:
-                alpha = max(alpha, stored)
-            else:
-                beta = min(beta, stored)
-            if alpha >= beta:
-                self._hits += 1
-                return stored
+                return low if low >= beta else high
+            alpha, beta = max(alpha, low), min(beta, high)
         alpha_in, beta_in = alpha, beta
         adj = self.graph.adj
         search = self._search
@@ -354,12 +349,8 @@ class Solver:
                     alpha = max(alpha, best)
                 if alpha >= beta:
                     break
-        if best <= alpha_in:
-            self._table[key] = (_UPPER, best)
-        elif best >= beta_in:
-            self._table[key] = (_LOWER, best)
-        else:
-            self._table[key] = (_EXACT, best)
+        self._table[key] = (best if best > alpha_in else -_UNBOUNDED,
+                            best if best < beta_in else _UNBOUNDED)
         return best
 
     def _canonical(self, unmarked: int) -> int:

@@ -364,9 +364,9 @@ class ForcedGameSolver(Solver):
     The forced step is not stored. It cuts off a window outside the bracket
     ``[1, |U|]`` like :meth:`Solver._search`, asks ``choose`` with
     ``last = v``, steps ``U`` and searches on. ``last`` is therefore never a
-    table key, and ``Solver``'s bound flags and window contract hold as they
-    are. The played set rides along on the instance for the strategies that
-    read it, and below :meth:`value_from` no node re-marks the graph.
+    table key, and ``Solver``'s interval entries and window contract hold as
+    they are. The played set rides along on the instance for the strategies
+    that read it, and below :meth:`value_from` no node re-marks the graph.
 
     The table keys on ``U << 1 | dominator_to_move``, or on ``played << 1 |
     dominator_to_move`` for a ``reads_played`` strategy. It never keys on

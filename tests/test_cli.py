@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import os
 import weakref
 from pathlib import Path
 
@@ -306,7 +307,8 @@ def test_scan_conjecture_flags_findings_loudly(capsys, tmp_path, monkeypatch):
     assert "x:1" in out
 
 
-def test_verify_jobs_flag(capsys, tmp_path):
+def test_verify_jobs_flag(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     corpus = tmp_path / "c.g6"
     corpus.write_text("".join(emit_graph6(g) + "\n"
                               for g in (path(5), cycle(5), cycle(6), path(7))))

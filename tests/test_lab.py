@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import multiprocessing
+import os
 import random
 from fractions import Fraction
 
@@ -60,7 +61,8 @@ def test_verify_empty_corpus():
     assert result.reports == [] and result.exit_code == 0
 
 
-def test_verify_parallel_matches_serial():
+def test_verify_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     graphs = [path(5), cycle(4), cycle(5), cycle(6), complete(4), complete(5),
               path(6), path(7), cycle(7), complete(6)]
     entries = list(load_graph6_corpus(io.StringIO(_corpus_text(graphs))))
@@ -81,6 +83,7 @@ def test_verify_builds_no_pool_before_its_first_graph(monkeypatch):
         raise NoPool
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     unsolvable = CorpusEntry(gid="bad", graph=None, error="not graph6")
     assert verify([], jobs=2).reports == []
     result = verify([unsolvable], jobs=2)
@@ -95,6 +98,37 @@ def test_verify_builds_no_pool_before_its_first_graph(monkeypatch):
     with pytest.raises(NoPool):  # the patch is what a second graph reaches
         verify([CorpusEntry(gid="c5", graph=cycle(5)),
                 CorpusEntry(gid="c6", graph=cycle(6))], jobs=2)
+
+
+@pytest.mark.parametrize("cpus, jobs, opened", [
+    (3, 5000, [3]), (3, 2, [2]), (2, 2, [2]), (1, 5000, []), (None, 2, []),
+])
+def test_verify_caps_jobs_at_the_cpu_count(monkeypatch, cpus, jobs, opened):
+    """``jobs`` is capped at ``os.cpu_count() or 1``, and a cap of 1 takes
+    the serial path. The pool is a fake that records its process count and
+    maps in this process, so no worker is started."""
+    recorded = []
+
+    class FakePool:
+        def __init__(self, processes):
+            recorded.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize=1):
+            return map(func, iterable)
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    entries = [CorpusEntry(gid=f"c{k}", graph=cycle(k)) for k in (4, 5, 6)]
+    result = verify(entries, jobs=jobs)
+    assert recorded == opened
+    assert result.reports == verify(entries).reports
+    assert [report.gid for report in result.reports] == ["c4", "c5", "c6"]
 
 
 def test_verify_respects_cap(monkeypatch):

@@ -1,4 +1,4 @@
-"""Exact solver: point values, principal variations, bound-flag table,
+"""Exact solver: point values, principal variations, interval table,
 window contract, orbit-keyed table, oracle parity."""
 
 import gc
@@ -16,7 +16,7 @@ from isogame.families import (complete, cycle, from_shorthand, path,
 from isogame import lab, strategies
 from isogame.graph import Graph, vertex_set, vertices_of
 from isogame.graph6 import parse_graph6
-from isogame.solver import (_EXACT, _LOWER, _UPPER, Solver, _automorphisms,
+from isogame.solver import (_UNBOUNDED, Solver, _automorphisms,
                             _image_tables, _step, cp_gap, solve, solve_both,
                             solver_cap_from_env)
 
@@ -181,6 +181,23 @@ def _played_set_reaching(g):
     return reaching
 
 
+def _entries_by_kind(entries):
+    """Table items grouped by kind: an exact entry has ``low == high``, a
+    lower-bound entry an unknown ``high`` and an upper-bound entry an
+    unknown ``low``; a search stores no other kind."""
+    by_kind = {"exact": [], "lower": [], "upper": []}
+    for key, (low, high) in entries:
+        if low == high:
+            by_kind["exact"].append((key, low, high))
+        elif high == _UNBOUNDED:
+            assert -_UNBOUNDED < low
+            by_kind["lower"].append((key, low, high))
+        else:
+            assert low == -_UNBOUNDED < high < _UNBOUNDED
+            by_kind["upper"].append((key, low, high))
+    return by_kind
+
+
 def test_table_entries_match_memo_free_values():
     """Every kind of table entry, exact or a bound stored under a cut
     window, holds for the oracle's exact value at a played set reaching its
@@ -193,25 +210,18 @@ def test_table_entries_match_memo_free_values():
         solver = Solver(g)
         solver.game_value(Player.DOMINATOR)
         assert {key >> 1 for key in solver._table} <= set(reaching)
-        by_flag = {flag: [] for flag in (_EXACT, _LOWER, _UPPER)}
-        for key, (flag, stored) in sorted(solver._table.items()):
-            by_flag[flag].append((key, stored))
-        for flag, entries in by_flag.items():
+        by_kind = _entries_by_kind(sorted(solver._table.items()))
+        for kind, entries in by_kind.items():
             if entries:
-                seen.add(flag)
-            for key, stored in rng.sample(entries, min(5, len(entries))):
+                seen.add(kind)
+            for key, low, high in rng.sample(entries, min(5, len(entries))):
                 unmarked, dominator_to_move = key >> 1, key & 1
                 mover = Player.DOMINATOR if dominator_to_move else Player.STALLER
                 played = reaching[unmarked]
                 exact = oracles.brute_solve_from(g, set(vertices_of(played)), mover)
-                if flag == _EXACT:
-                    assert stored == exact
-                elif flag == _LOWER:
-                    assert stored <= exact
-                else:
-                    assert stored >= exact
+                assert low <= exact <= high
                 assert solver.value(played, mover) == exact
-    assert seen == {_EXACT, _LOWER, _UPPER}
+    assert seen == {"exact", "lower", "upper"}
 
 
 @pytest.mark.parametrize("spec", [
@@ -255,6 +265,25 @@ def test_c18_table_holds_one_entry_per_unmarked_state():
         single = Solver(cycle(18))
         single.game_value(first)
         assert single.stats.states == states
+
+
+@pytest.mark.parametrize("text, first, pinned", [
+    ("C18", Player.DOMINATOR, (935, 2699, 39, 613, 283)),
+    ("C18", Player.STALLER, (1008, 2649, 38, 879, 91)),
+    ("P12", Player.DOMINATOR, (446, 436, 29, 360, 57)),
+    ("P12", Player.STALLER, (472, 380, 35, 318, 119)),
+    ("C6+C6+C6", Player.DOMINATOR, (1954, 5211, 57, 1213, 684)),
+    ("C6+C6+C6", Player.STALLER, (752, 2439, 33, 287, 432)),
+], ids=str)
+def test_game_value_fills_pinned_entries_of_each_kind(text, first, pinned):
+    """``game_value`` from a fresh table stores a pinned number of entries,
+    table hits, and exact, lower-bound and upper-bound entries, so a
+    change to how entries are probed or stored shows here."""
+    solver = Solver(from_shorthand(text))
+    solver.game_value(first)
+    by_kind = _entries_by_kind(solver._table.items())
+    assert (solver.stats.states, solver.stats.hits, len(by_kind["exact"]),
+            len(by_kind["lower"]), len(by_kind["upper"])) == pinned
 
 
 def test_value_honours_every_window():
@@ -410,8 +439,8 @@ def test_symmetry_is_kept_past_8_vertices_with_n_automorphisms(corpus_graphs):
 @pytest.mark.parametrize("name", ["C9", "C10", "Petersen"])
 def test_orbit_keyed_entries_hold_for_the_oracle(name):
     """Each stored key is a reachable unmarked set (an automorphic image of
-    one is reachable), and entries on small sets hold for the oracle's
-    exact value under their flag."""
+    one is reachable), and entries of every kind on small sets hold the
+    oracle's exact value between their bounds."""
     g = SYMMETRIC[name]
     reaching = _played_set_reaching(g)
     solver = Solver(g)
@@ -420,22 +449,16 @@ def test_orbit_keyed_entries_hold_for_the_oracle(name):
     solver.game_value(Player.STALLER)
     assert {key >> 1 for key in solver._table} <= set(reaching)
     rng = random.Random(g.n)
-    by_flag = {flag: [] for flag in (_EXACT, _LOWER, _UPPER)}
-    for key, (flag, stored) in sorted(solver._table.items()):
-        if (key >> 1).bit_count() <= 5:
-            by_flag[flag].append((key, stored))
-    for flag, entries in by_flag.items():
-        for key, stored in rng.sample(entries, min(4, len(entries))):
+    small = [(key, entry) for key, entry in sorted(solver._table.items())
+             if (key >> 1).bit_count() <= 5]
+    by_kind = _entries_by_kind(small)
+    for entries in by_kind.values():
+        assert entries
+        for key, low, high in rng.sample(entries, min(4, len(entries))):
             mover = Player.DOMINATOR if key & 1 else Player.STALLER
             played = reaching[key >> 1]
             exact = oracles.brute_solve_from(g, set(vertices_of(played)), mover)
-            if flag == _EXACT:
-                assert stored == exact
-            elif flag == _LOWER:
-                assert stored <= exact
-            else:
-                assert stored >= exact
-    assert by_flag[_EXACT]
+            assert low <= exact <= high
 
 
 def test_at_most_matches_exact_values(corpus_graphs):

@@ -202,8 +202,25 @@ class Graph:
             raise GraphDomainError("diameter undefined on the empty graph")
         if not self.is_connected():
             return INFINITE_DIAMETER
-        return float(max(sum(1 for _ in self._levels(s))
-                         for s in range(self._n)) - 1)
+        # One breadth-first search per source, stopped once it has seen the
+        # whole (connected) graph: its level count is the eccentricity.
+        adj, full = self._adj, self._full
+        widest = 0
+        for source in range(self._n):
+            seen = frontier = 1 << source
+            depth = 0
+            while seen != full:
+                grow = 0
+                while frontier:
+                    low = frontier & -frontier
+                    grow |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = grow & ~seen
+                seen |= frontier
+                depth += 1
+            if depth > widest:
+                widest = depth
+        return float(widest)
 
     # -- misc --------------------------------------------------------------
 

@@ -8,24 +8,26 @@ of (``U``, mover), and every played set that reaches the same ``U`` shares
 one table entry. Dominator minimizes and Staller maximizes the number of
 moves in the completed game. The search tries a mover's children in the
 order of the unmarked neighbors each move marks, Dominator's most first
-and Staller's fewest first, ties by lowest index; :meth:`Solver.best_move`
-and principal variations take the lowest-index optimal move, so they are
-reproducible and do not depend on that order.
+and Staller's fewest first, ties by lowest index, sorted on one integer per
+child; :meth:`Solver.best_move` and principal variations take the
+lowest-index optimal move, so they are reproducible and do not depend on
+that order.
 
 Two exact reductions keep the search small. Every legal move marks its
-unmarked witness, so a non-terminal value lies in ``[1, |U|]``, and a window
-outside that bracket is cut off at once. And a graph automorphism maps a
-state to one of equal value, so table entries are shared per automorphism
-orbit of ``U`` (Allis 1994): on a graph of more than 8 vertices on which at
-least ``n`` automorphisms are found (the search stops at ``2n``), the table
-keys on the least image of ``U`` under them. Each :class:`Solver` memoizes
-that key in a dict freed with it, one entry per distinct ``U`` the search
-keys. When those automorphisms form the whole group, as a cycle's ``2n``
-rotations and reflections do, one entry serves the whole orbit. When they
-are not closed under composition (on Petersen and Q4, say), two images of
-``U`` may still get different keys, so an orbit can fill several entries;
-since every image is automorphic to ``U``, an entry never serves a state of
-another value.
+unmarked witness, so a non-terminal value lies in ``[1, |U|]``: a window
+outside that bracket is cut off at once, the bracket is every state's
+default table entry, and no stored bound leaves it. And a graph
+automorphism maps a state to one of equal value, so table entries are
+shared per automorphism orbit of ``U`` (Allis 1994): on a graph of more
+than 8 vertices on which at least ``n`` automorphisms are found (the search
+stops at ``2n``), the table keys on the least image of ``U`` under them.
+Each :class:`Solver` memoizes that key in a dict freed with it, one entry
+per distinct ``U`` the search keys. When those automorphisms form the whole
+group, as a cycle's ``2n`` rotations and reflections do, one entry serves
+the whole orbit. When they are not closed under composition (on Petersen
+and Q4, say), two images of ``U`` may still get different keys, so an orbit
+can fill several entries; since every image is automorphic to ``U``, an
+entry never serves a state of another value.
 """
 
 from __future__ import annotations
@@ -225,10 +227,12 @@ class Solver:
 
     The search runs on (unmarked set, mover) states. One table serves both
     starts: entries are keyed by ``key << 1 | dominator_to_move`` and hold
-    bounds ``(low, high)`` on the value, exact when ``low == high`` and
-    ``-_UNBOUNDED`` or ``_UNBOUNDED`` for a bound not yet known, so a value
-    found under a cut window is never read back as exact (Knuth & Moore
-    1975; the two-bound entries of MTD(f), Plaat et al. 1996). The key is
+    bounds ``1 <= low <= high <= |U|`` on the value, exact when ``low ==
+    high``. A state with no entry reads the bracket ``(1, |U|)`` as its
+    entry, and each store intersects the bound the search found with the
+    entry it read, so a value found under a cut window is never read back
+    as exact and a bound once known is kept (Knuth & Moore 1975; the
+    two-bound entries of MTD(f), Plaat et al. 1996). The key is
     the unmarked set itself, or the least image of it under up to ``2n``
     automorphisms found in ``__init__``, so that entries are shared per
     automorphism orbit. The orbit key is kept only when ``n > 8`` (below
@@ -239,14 +243,20 @@ class Solver:
     search keys and is freed with the solver. Before the table is probed, a
     non-terminal state whose bracket ``[1, |U|]`` lies outside the window
     returns the nearer end, ``|U|`` when ``|U| <= alpha`` or 1 when
-    ``beta <= 1``, and stores nothing. The public methods take a played set
-    and convert it to its unmarked set once, through ``cache``.
+    ``beta <= 1``, and one with ``|U| == 1`` returns its value 1; these
+    store nothing, and the default entry could settle no other probe, so
+    :attr:`stats` counts as hits only probes that a stored entry settled.
+    The public methods take a played set and convert it to its unmarked
+    set once, through ``cache``.
 
     Alpha-beta cuts the most when the best child comes first, so a node
     tries its playable vertices ``v`` by ``|U & N(v)|``, the unmarked
     neighbors that playing ``v`` marks (a cheap form of the paper's greedy
     rule): the most first for Dominator, the fewest first for Staller, ties
-    by lowest index. Each child is stepped only when it is visited.
+    by lowest index. Each child's sort key is the int ``|U & N(v)| << s |
+    v``, with ``s = n.bit_length()`` and the index bits of ``v`` flipped for
+    Dominator, so one in-place sort, descending for Dominator, gives that
+    order. Each child is stepped only when it is visited.
 
     :meth:`at_most` answers a yes/no question about the value with one
     null-window search (the test of MTD(f), Plaat et al. 1996): the window
@@ -279,6 +289,8 @@ class Solver:
         self._table: dict[int, tuple[int, int]] = {}
         self._keys: dict[int, int] = {}
         self._hits = 0
+        self._shift = g.n.bit_length()
+        self._adj = g.adj
         # A forced strategy breaks ties by index, which an automorphism does not preserve.
         autos = _automorphisms(g, 2 * g.n) if g.n > 8 and self._forced_reply is None else []
         self._images = _image_tables(autos, g.n) if len(autos) >= g.n else None
@@ -317,40 +329,57 @@ class Solver:
         size = unmarked.bit_count()
         if size <= alpha:
             return size
-        if beta <= 1:
+        if beta <= 1 or size == 1:
             return 1
         key_of = self._key_of
         key = (unmarked if key_of is None else key_of(unmarked)) << 1 | dom
-        entry = self._table.get(key)
-        if entry is not None:
-            low, high = entry
-            if low >= beta or high <= alpha or low == high:
-                self._hits += 1
-                return low if low >= beta else high
-            alpha, beta = max(alpha, low), min(beta, high)
+        low, high = self._table.get(key, (1, size))
+        if low >= beta or high <= alpha or low == high:
+            self._hits += 1
+            return low if low >= beta else high
+        if low > alpha:
+            alpha = low
+        if high < beta:
+            beta = high
         alpha_in, beta_in = alpha, beta
-        adj = self.graph.adj
+        adj = self._adj
         search = self._search
         forced = self._forced_reply
-        best = None
+        shift = self._shift
+        mask = (1 << shift) - 1
+        flip = mask if dom else 0
+        codes = []
+        playable = playable_from(self.graph, unmarked)
+        while playable:
+            bit = playable & -playable
+            w = bit.bit_length() - 1
+            codes.append((unmarked & adj[w]).bit_count() << shift | (w ^ flip))
+            playable ^= bit
+        codes.sort(reverse=dom)
+        best = _UNBOUNDED if dom else 0
         other = not dom
-        for v in sorted(iter_bits(playable_from(self.graph, unmarked)),
-                        key=lambda w: (unmarked & adj[w]).bit_count(), reverse=dom):
+        for code in codes:
+            v = (code & mask) ^ flip
             after = _step(adj, unmarked, v)
             if forced is None:
                 child = 1 + search(after, other, alpha - 1, beta - 1)
             else:
                 child = 1 + forced(after, v, alpha - 1, beta - 1)
-            if best is None or (child < best if dom else child > best):
+            if dom:
+                if child < best:
+                    best = child
+                    if best < beta:
+                        beta = best
+                    if alpha >= beta:
+                        break
+            elif child > best:
                 best = child
-                if dom:
-                    beta = min(beta, best)
-                else:
-                    alpha = max(alpha, best)
+                if best > alpha:
+                    alpha = best
                 if alpha >= beta:
                     break
-        self._table[key] = (best if best > alpha_in else -_UNBOUNDED,
-                            best if best < beta_in else _UNBOUNDED)
+        self._table[key] = (best if best > alpha_in else low,
+                            best if best < beta_in else high)
         return best
 
     def _canonical(self, unmarked: int) -> int:

@@ -176,6 +176,7 @@ def test_bitset_levels_match_a_queue_bfs_on_paths_cycles_and_k1():
         assert cycle(n).diameter == n // 2
     k1 = Graph(1, [])
     assert k1.diameter == 0.0 and k1.distances == ((0,),)
+    _assert_levels_match_queue_bfs(complete(2))
 
 
 def test_unions_keep_the_infinite_diameter_and_unreachable_distances():

@@ -16,7 +16,7 @@ from isogame.families import (complete, cycle, from_shorthand, path,
 from isogame import lab, strategies
 from isogame.graph import Graph, vertex_set, vertices_of
 from isogame.graph6 import parse_graph6
-from isogame.solver import (_UNBOUNDED, Solver, _automorphisms,
+from isogame.solver import (Solver, _automorphisms,
                             _image_tables, _step, cp_gap, solve, solve_both,
                             solver_cap_from_env)
 
@@ -146,6 +146,34 @@ def test_children_are_searched_by_unmarked_neighbors(monkeypatch):
     assert calls <= 5500
 
 
+@pytest.mark.parametrize("n", [3, 8, 15, 16, 17, 20])
+def test_children_are_stepped_by_marks_then_index(n, monkeypatch):
+    """One expansion steps its children by ``|U & N(w)|``, the most first
+    for Dominator and the fewest first for Staller, ties to the lowest
+    index, on orders on either side of a power of two, where the width of
+    the index in the sort key grows. ``U`` is reached by one move, so the
+    marks differ from the degrees, and no child of it cuts the expansion
+    short, so every playable vertex is stepped."""
+    g = random_connected(n, 0.2, 1, seed=n)
+    unmarked = g.full_mask
+    if n > 3:
+        w = random.Random(n).choice(vertices_of(g.full_mask))
+        unmarked = _step(g.adj, unmarked, w)
+    playable = vertices_of(playable_from(g, unmarked))
+    marks = {w: (unmarked & g.adj[w]).bit_count() for w in playable}
+    for dom in (True, False):
+        stepped = []
+
+        def recording(adj, before, w):
+            if before == unmarked:
+                stepped.append(w)
+            return _step(adj, before, w)
+
+        monkeypatch.setattr("isogame.solver._step", recording)
+        Solver(g)._search(unmarked, dom)
+        assert stepped == sorted(playable, key=lambda w: (-marks[w] if dom else marks[w], w))
+
+
 def test_value_at_least_two():
     rng = random.Random(3)
     for _ in range(50):
@@ -182,19 +210,24 @@ def _played_set_reaching(g):
 
 
 def _entries_by_kind(entries):
-    """Table items grouped by kind: an exact entry has ``low == high``, a
-    lower-bound entry an unknown ``high`` and an upper-bound entry an
-    unknown ``low``; a search stores no other kind."""
-    by_kind = {"exact": [], "lower": [], "upper": []}
+    """Table items grouped by kind. Every entry lies in the bracket,
+    ``1 <= low <= high <= |U|`` (an orbit key is an image of ``U``, so it
+    has ``|U|`` members too). An exact entry has ``low == high``, a
+    lower-bound entry ``high == |U|``, an upper-bound entry ``low == 1``,
+    and a two-sided entry tightens both ends."""
+    by_kind = {"exact": [], "lower": [], "upper": [], "two-sided": []}
     for key, (low, high) in entries:
+        size = (key >> 1).bit_count()
+        assert 1 <= low <= high <= size, (key, low, high)
         if low == high:
-            by_kind["exact"].append((key, low, high))
-        elif high == _UNBOUNDED:
-            assert -_UNBOUNDED < low
-            by_kind["lower"].append((key, low, high))
+            kind = "exact"
+        elif high == size:
+            kind = "lower"
+        elif low == 1:
+            kind = "upper"
         else:
-            assert low == -_UNBOUNDED < high < _UNBOUNDED
-            by_kind["upper"].append((key, low, high))
+            kind = "two-sided"
+        by_kind[kind].append((key, low, high))
     return by_kind
 
 
@@ -209,6 +242,7 @@ def test_table_entries_match_memo_free_values():
         reaching = _played_set_reaching(g)
         solver = Solver(g)
         solver.game_value(Player.DOMINATOR)
+        solver.game_value(Player.STALLER)
         assert {key >> 1 for key in solver._table} <= set(reaching)
         by_kind = _entries_by_kind(sorted(solver._table.items()))
         for kind, entries in by_kind.items():
@@ -221,7 +255,7 @@ def test_table_entries_match_memo_free_values():
                 exact = oracles.brute_solve_from(g, set(vertices_of(played)), mover)
                 assert low <= exact <= high
                 assert solver.value(played, mover) == exact
-    assert seen == {"exact", "lower", "upper"}
+    assert {"exact", "lower", "upper"} <= seen
 
 
 @pytest.mark.parametrize("spec", [
@@ -261,29 +295,29 @@ def test_c18_table_holds_one_entry_per_unmarked_state():
     assert solver.value(0, Player.DOMINATOR) == 11
     assert solver.value(0, Player.STALLER) == 11
     assert solver.stats.states <= 19796 // 10
-    for first, states in ((Player.DOMINATOR, 935), (Player.STALLER, 1008)):
+    for first, states in ((Player.DOMINATOR, 932), (Player.STALLER, 1006)):
         single = Solver(cycle(18))
         single.game_value(first)
         assert single.stats.states == states
 
 
 @pytest.mark.parametrize("text, first, pinned", [
-    ("C18", Player.DOMINATOR, (935, 2699, 39, 613, 283)),
-    ("C18", Player.STALLER, (1008, 2649, 38, 879, 91)),
-    ("P12", Player.DOMINATOR, (446, 436, 29, 360, 57)),
-    ("P12", Player.STALLER, (472, 380, 35, 318, 119)),
-    ("C6+C6+C6", Player.DOMINATOR, (1954, 5211, 57, 1213, 684)),
-    ("C6+C6+C6", Player.STALLER, (752, 2439, 33, 287, 432)),
+    ("C18", Player.DOMINATOR, (932, 2485, 205, 482, 189, 56)),
+    ("C18", Player.STALLER, (1006, 2589, 173, 724, 69, 40)),
+    ("P12", Player.DOMINATOR, (442, 426, 101, 291, 34, 16)),
+    ("P12", Player.STALLER, (468, 372, 120, 237, 103, 8)),
+    ("C6+C6+C6", Player.DOMINATOR, (1952, 4772, 560, 813, 572, 7)),
+    ("C6+C6+C6", Player.STALLER, (749, 2357, 291, 152, 305, 1)),
 ], ids=str)
 def test_game_value_fills_pinned_entries_of_each_kind(text, first, pinned):
     """``game_value`` from a fresh table stores a pinned number of entries,
-    table hits, and exact, lower-bound and upper-bound entries, so a
-    change to how entries are probed or stored shows here."""
+    table hits, and exact, lower-bound, upper-bound and two-sided entries,
+    so a change to how entries are probed or stored shows here."""
     solver = Solver(from_shorthand(text))
     solver.game_value(first)
     by_kind = _entries_by_kind(solver._table.items())
-    assert (solver.stats.states, solver.stats.hits, len(by_kind["exact"]),
-            len(by_kind["lower"]), len(by_kind["upper"])) == pinned
+    assert (solver.stats.states, solver.stats.hits,
+            *map(len, by_kind.values())) == pinned
 
 
 def test_value_honours_every_window():
@@ -452,8 +486,8 @@ def test_orbit_keyed_entries_hold_for_the_oracle(name):
     small = [(key, entry) for key, entry in sorted(solver._table.items())
              if (key >> 1).bit_count() <= 5]
     by_kind = _entries_by_kind(small)
-    for entries in by_kind.values():
-        assert entries
+    for kind, entries in by_kind.items():
+        assert entries or kind == "two-sided"
         for key, low, high in rng.sample(entries, min(4, len(entries))):
             mover = Player.DOMINATOR if key & 1 else Player.STALLER
             played = reaching[key >> 1]

@@ -66,38 +66,69 @@ class Strategy:
         return self._search[1]
 
 
-def _check_choice(strategy: Strategy, v: int, played: int, playable: int) -> None:
-    """Raise :class:`ProtocolViolationError` unless ``v`` is in ``playable``."""
-    if v >= 0 and playable >> v & 1:
+def _check_choice(strategy: Strategy, g: Graph, unmarked: int, v: int,
+                  played: int) -> None:
+    """Raise :class:`ProtocolViolationError` unless ``v`` is playable from
+    ``unmarked``, i.e. a vertex of ``g`` with an unmarked neighbor."""
+    if 0 <= v < g.n and g.adj[v] & unmarked:
         return
     reason = "already-played" if v >= 0 and played >> v & 1 else "not-playable"
     raise ProtocolViolationError(strategy.name, v, reason)
 
 
-def _mark_gains(g: Graph, unmarked: int, within: int = -1) -> list[tuple[int, int]]:
-    """(vertex, new-mark count) for every playable vertex in ``within``,
-    ascending index, from the unmarked set ``unmarked``.
+def _mark_gains(g: Graph, unmarked: int, within: int = -1) -> tuple[int, list[int]]:
+    """The most new vertices a playable vertex in ``within`` marks from the
+    unmarked set ``U``, and every vertex that marks that many, ascending.
 
-    A vertex's gain is ``|U|`` minus the size of the unmarked set it steps
-    ``U`` to, so no candidate re-marks the graph from scratch.
+    Playing ``w`` marks ``U & N(w)``, then isolates every unplayed ``x`` in
+    ``U`` left without an unmarked neighbor. An unplayed ``x`` in ``U`` has
+    unmarked neighbors ``A_x = N(x) & U``, never empty, since an unplayed
+    vertex without one is isolated and so already marked; a vertex of ``U``
+    with ``A_x`` empty is a played one, which nothing isolates. So ``w``
+    isolates ``x`` exactly when ``w`` is outside ``N[x]`` and ``A_x`` lies in
+    ``N(w)``: the vertices isolating ``x`` are the common neighbors of
+    ``A_x`` outside ``N[x]``, all playable as neighbors of unmarked
+    vertices. One pass over ``U`` counts these hits per vertex, and
+    ``gain(w) = |U & N(w)| + hits(w)``, so no candidate is stepped.
     """
-    playable = playable_from(g, unmarked) & within
+    adj = g.adj
+    hits = [0] * g.n
+    playable = 0
+    rest = unmarked
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        near = adj[low.bit_length() - 1]
+        playable |= near
+        around = near & unmarked
+        isolating = within & ~(near | low) if around else 0
+        while around and isolating:
+            bit = around & -around
+            isolating &= adj[bit.bit_length() - 1]
+            around ^= bit
+        while isolating:
+            bit = isolating & -isolating
+            hits[bit.bit_length() - 1] += 1
+            isolating ^= bit
+    playable &= within
     if playable == 0:
         raise GameStateError("no moves in a terminal state")
-    adj = g.adj
-    before = unmarked.bit_count()
-    return [(v, before - _step(adj, unmarked, v).bit_count())
-            for v in iter_bits(playable)]
-
-
-def _first_max(gains: list[tuple[int, int]]) -> int:
-    best = max(gain for _, gain in gains)
-    return next(v for v, gain in gains if gain == best)
+    best, maximizers = 0, []
+    while playable:
+        low = playable & -playable
+        playable ^= low
+        w = low.bit_length() - 1
+        gain = (adj[w] & unmarked).bit_count() + hits[w]
+        if gain > best:
+            best, maximizers = gain, [w]
+        elif gain == best:
+            maximizers.append(w)
+    return best, maximizers
 
 
 def greedy_move(state: GameState) -> int:
     """Playable vertex marking the most new vertices; ties to lowest index."""
-    return _first_max(_mark_gains(state.graph, state.unmarked()))
+    return _mark_gains(state.graph, state.unmarked())[1][0]
 
 
 def modified_greedy_move(state: GameState) -> int:
@@ -110,16 +141,14 @@ class GreedyDominator(Strategy):
     name = "greedy"
 
     def choose(self, g, unmarked, mover, last, played):
-        return _first_max(_mark_gains(g, unmarked))
+        return _mark_gains(g, unmarked)[1][0]
 
 
 class ModifiedGreedyDominator(Strategy):
     name = "modified-greedy"
 
     def choose(self, g, unmarked, mover, last, played):
-        gains = _mark_gains(g, unmarked)
-        best = max(gain for _, gain in gains)
-        maximizers = [v for v, gain in gains if gain == best]
+        maximizers = _mark_gains(g, unmarked)[1]
         for v in maximizers:
             if g.degree(v) >= 2:
                 return v
@@ -224,7 +253,7 @@ class ExtremalStaller(Strategy):
             return self._optimal_within(g, unmarked, g.full_mask)
         kind = kinds[comp_index]
         if kind in ("P3", "C3"):
-            return _first_max(_mark_gains(g, unmarked, comp))
+            return _mark_gains(g, unmarked, comp)[1][0]
         if kind == "C6":
             antipode = next(v for v in vertices_of(comp)
                             if g.distance(last, v) == 3)
@@ -278,12 +307,11 @@ def simulate(g: Graph, dominator: Strategy, staller: Strategy,
     while unmarked:
         strategy = dominator if mover is Player.DOMINATOR else staller
         v = strategy.choose(g, unmarked, mover, last, played)
-        _check_choice(strategy, v, played, playable_from(g, unmarked))
+        _check_choice(strategy, g, unmarked, v, played)
         if mover is Player.STALLER and records:
             stage = records[-1].stage  # Dominator's previous move
         else:  # Dominator, or Staller opening: classify the pre-move position
-            burst = any(gain >= 2 for _, gain in _mark_gains(g, unmarked))
-            stage = STAGE_BURST if burst else STAGE_TRICKLE
+            stage = STAGE_BURST if _mark_gains(g, unmarked)[0] >= 2 else STAGE_TRICKLE
         records.append(MoveRecord(vertex=v, mover=mover,
                                   new_marks=cache.mark_gain(played, v), stage=stage,
                                   note=strategy.note(g, unmarked, last)))
@@ -416,7 +444,7 @@ class ForcedGameSolver(Solver):
         g = self.graph
         strategy = self.strategy
         v = strategy.choose(g, unmarked, self.fixed_role, last, played)
-        _check_choice(strategy, v, played, playable_from(g, unmarked))
+        _check_choice(strategy, g, unmarked, v, played)
         self._played = played | 1 << v
         value = 1 + self._search(_step(g.adj, unmarked, v), self._free_dom,
                                  alpha - 1, beta - 1)

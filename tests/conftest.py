@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from isogame.families import random_graph
+from isogame.graph import Graph
 from isogame.lab import load_graph6_corpus
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -43,3 +44,11 @@ def random_isolate_free(rng: random.Random, max_n: int = 9):
         g = random_graph(n, rng.uniform(0.25, 0.8), rng)
         if n >= 1 and all(d > 0 for d in g.degrees):
             return g
+
+
+def petersen() -> Graph:
+    """The Petersen graph: outer 5-cycle, spokes, inner pentagram."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)

@@ -22,7 +22,7 @@ from isogame.strategies import (STAGE_BURST, STAGE_TRICKLE,
                                 modified_greedy_move, simulate,
                                 stage_snapshot)
 
-from conftest import random_isolate_free
+from conftest import petersen, random_isolate_free
 
 
 # -- greedy moves ------------------------------------------------------------
@@ -57,14 +57,23 @@ def _gains_from_scratch(g, played, within):
             for v in iter_bits(playable_from(g, before) & within)]
 
 
+def _best_and_maximizers(gains):
+    best = max(gain for _, gain in gains)
+    return best, [v for v, gain in gains if gain == best]
+
+
 def test_mark_gains_match_marked_set_along_playouts():
-    """Gains stepped from the unmarked set equal the drop in ``|U|`` that
-    ``marked_set`` gives, over the whole graph and inside each component."""
+    """The best gain and its maximizers, counted in one pass over the
+    unmarked set, match the drops in ``|U|`` that ``marked_set`` gives, over
+    the whole graph and inside each component, on sparse, dense and
+    symmetric graphs."""
     rng = random.Random(97)
     graphs = [random_connected(rng.randint(3, 10), rng.uniform(0.2, 0.7), 1,
                                seed=rng.random()) for _ in range(30)]
     graphs += [from_shorthand(text)
                for text in ("P3+C3", "P6+C6", "C3+P6+C6", "P3+C3+P6", "C6+C6")]
+    graphs += [complete(5), Graph(5, [(0, v) for v in range(1, 5)]),
+               Graph(6, [(a, b) for a in range(3) for b in range(3, 6)]), petersen()]
     for g in graphs:
         for first in Player:
             state = new_game(g, first)
@@ -72,11 +81,42 @@ def test_mark_gains_match_marked_set_along_playouts():
                 for within in (-1, *g.components):
                     expected = _gains_from_scratch(g, state.played, within)
                     if expected:
-                        assert _mark_gains(g, state.unmarked(), within) == expected
+                        assert (_mark_gains(g, state.unmarked(), within)
+                                == _best_and_maximizers(expected))
                     else:
                         with pytest.raises(GameStateError):
                             _mark_gains(g, state.unmarked(), within)
                 state = state.play(rng.choice(vertices_of(state.playable())))
+
+
+def test_greedy_choices_match_oracle_gains(small_connected):
+    """Along seeded random playouts on every corpus graph with n <= 6, from
+    both starts, greedy plays the lowest-index move marking the most
+    vertices at each Dominator turn, and modified greedy the first non-leaf
+    among them (the first maximizer when all are leaves), with gains taken
+    from the oracle's legal moves and marked sets alone."""
+    rng = random.Random(41)
+    greedy, modified = GreedyDominator(), ModifiedGreedyDominator()
+    positions = 0
+    for g in small_connected:
+        for first in Player:
+            played: set[int] = set()
+            mover = first
+            while legal := oracles.legal_moves(g, played):
+                if mover is Player.DOMINATOR:
+                    marked = oracles.marked_vertices(g, played)
+                    gains = [(v, len(oracles.marked_vertices(g, played | {v})) - len(marked))
+                             for v in legal]
+                    _, maximizers = _best_and_maximizers(gains)
+                    non_leaves = [v for v in maximizers if len(g.neighbors(v)) >= 2]
+                    unmarked = vertex_set(v for v in range(g.n) if v not in marked)
+                    position = (g, unmarked, mover, None, vertex_set(played))
+                    assert greedy.choose(*position) == min(maximizers)
+                    assert modified.choose(*position) == (non_leaves or maximizers)[0]
+                    positions += 1
+                played.add(rng.choice(legal))
+                mover = mover.other
+    assert positions > 2 * len(small_connected)
 
 
 def test_modified_greedy_prefers_non_leaf():

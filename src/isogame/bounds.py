@@ -163,7 +163,8 @@ def bound_names() -> tuple[str, ...]:
 
 
 def bounds_by_name(names: list[str] | tuple[str, ...] | None) -> tuple[BoundSpec, ...]:
-    """Resolve a name filter; None means all bounds."""
+    """Resolve a name filter; None means all bounds. Each named bound is
+    returned once, in the order it was first named."""
     specs = builtin_bounds()
     if names is None:
         return specs
@@ -172,7 +173,7 @@ def bounds_by_name(names: list[str] | tuple[str, ...] | None) -> tuple[BoundSpec
     if unknown:
         raise UnknownBoundError(
             f"unknown bound(s) {', '.join(unknown)}; valid: {', '.join(known)}")
-    return tuple(known[name] for name in names)
+    return tuple(known[name] for name in dict.fromkeys(names))
 
 
 def satisfies(game_value: int, bound: Fraction, strict: bool) -> bool:

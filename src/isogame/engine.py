@@ -44,15 +44,9 @@ def marked_set(g: Graph, played: int) -> MarkPartition:
     """
     g._check_subset(played)
     adj = g.adj
-    covered = 0
-    rest = played
-    while rest:
-        low = rest & -rest
-        covered |= adj[low.bit_length() - 1]
-        rest ^= low
+    marked = playable_from(g, played)
     full = g.full_mask
-    survivors = full & ~covered
-    marked = covered
+    survivors = full & ~marked
     rest = survivors & ~played
     while rest:
         low = rest & -rest

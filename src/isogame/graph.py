@@ -24,16 +24,6 @@ def vertex_set(vertices: Iterable[int]) -> int:
     return mask
 
 
-def vertices_of(mask: int) -> tuple[int, ...]:
-    """Expand a bitmask into a sorted tuple of vertex indices."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -42,9 +32,15 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def vertices_of(mask: int) -> tuple[int, ...]:
+    """Expand a bitmask into a sorted tuple of vertex indices."""
+    return tuple(iter_bits(mask))
+
+
 class Graph:
     """A simple undirected graph with cached structural data.
 
+    Only the adjacency masks are stored; ``edges`` is derived from them.
     Instances are immutable after construction and safe to share across
     workers. ``labels`` keeps the caller's vertex names for reports; when
     omitted, vertex ``i`` is displayed as ``v{i+1}``.
@@ -55,7 +51,6 @@ class Graph:
         if n < 0:
             raise GraphDomainError(f"vertex count must be nonnegative, got {n}")
         adj = [0] * n
-        edge_set = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphDomainError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
@@ -63,12 +58,10 @@ class Graph:
                 raise GraphDomainError(f"self-loop at vertex {u} not allowed")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-            edge_set.add((min(u, v), max(u, v)))
         if labels is not None and len(labels) != n:
             raise GraphDomainError(f"expected {n} labels, got {len(labels)}")
         self._n = n
         self._adj = tuple(adj)
-        self._edges = tuple(sorted(edge_set))
         self._labels = tuple(labels) if labels is not None else None
         self._full = (1 << n) - 1
 
@@ -80,16 +73,18 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return sum(self.degrees) // 2
 
     @property
     def adj(self) -> tuple[int, ...]:
         """Per-vertex neighbor bitmasks."""
         return self._adj
 
-    @property
+    @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+        """Each edge once as ``(u, v)`` with ``u < v``, in sorted order."""
+        return tuple((u, v) for u in range(self._n)
+                     for v in iter_bits(self._adj[u] & ~((2 << u) - 1)))
 
     @property
     def full_mask(self) -> int:
@@ -225,7 +220,7 @@ class Graph:
     # -- misc --------------------------------------------------------------
 
     def __reduce__(self):
-        return (Graph, (self._n, self._edges, self._labels))
+        return (Graph, (self._n, self.edges, self._labels))
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.m})"

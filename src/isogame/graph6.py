@@ -8,8 +8,6 @@ pairs with 0-based endpoints; unlisted indices are isolated vertices.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
 from .errors import GraphFormatError
 from .graph import Graph
 
@@ -77,14 +75,6 @@ def emit_graph6(g: Graph) -> str:
     for shift in range(count - 6, -1, -6):
         chars.append(chr((bits >> shift & 0x3F) + 63))
     return "".join(chars)
-
-
-def iter_graph6_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, stripped line) skipping blanks."""
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if stripped:
-            yield lineno, stripped
 
 
 def parse_edge_list(text: str) -> Graph:

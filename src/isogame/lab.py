@@ -25,7 +25,7 @@ from .engine import Player
 from .errors import GraphDomainError, GraphFormatError, SolverCapError
 from .families import random_graph
 from .graph import Graph
-from .graph6 import iter_graph6_lines, parse_graph6
+from .graph6 import parse_graph6
 from .solver import (Solver, check_solvable, cp_gap, solve_both,
                      solver_cap_from_env)
 
@@ -42,9 +42,12 @@ class CorpusEntry:
 
 
 def load_graph6_corpus(lines: Iterable[str], source: str = "corpus") -> Iterator[CorpusEntry]:
-    """Lazily parse a graph6 stream, one entry per line; parse errors become
-    skippable entries."""
-    for lineno, line in iter_graph6_lines(lines):
+    """Lazily parse a graph6 stream, one entry per non-blank line, numbered
+    by its 1-based line; parse errors become skippable entries."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
         gid = f"{source}:{lineno}"
         try:
             yield CorpusEntry(gid=gid, graph=parse_graph6(line))

@@ -21,7 +21,7 @@ from .errors import (GameStateError, ProtocolViolationError,
                      SnapshotDomainError, StrategyDomainError)
 from .graph import (Graph, closed_neighborhood, induced_subgraph, iter_bits,
                     open_neighborhood, vertex_set, vertices_of)
-from .solver import _UNBOUNDED, Solver, StateCache, _step
+from .solver import _UNBOUNDED, GameValue, Solver, StateCache, _step
 
 STAGE_BURST = 1
 STAGE_TRICKLE = 2
@@ -193,10 +193,10 @@ _SUPPORTED_COMPONENTS = ("P3", "C3", "P6", "C6")
 
 
 def _component_kind(g: Graph, comp: int) -> str:
-    members = vertices_of(comp)
-    order = len(members)
-    inside = sum(1 for u, v in g.edges if comp >> u & 1 and comp >> v & 1)
-    degrees = sorted(g.adj[v].bit_count() for v in members)
+    # A component keeps all its vertices' neighbors, so its edges are half its degree sum.
+    degrees = sorted(g.adj[v].bit_count() for v in iter_bits(comp))
+    order = len(degrees)
+    inside = sum(degrees) // 2
     if order == 3 and inside == 2:
         return "P3"
     if order == 3 and inside == 3:
@@ -223,8 +223,8 @@ class ExtremalStaller(Strategy):
     name = "extremal"
 
     def _new_search(self, g):
-        # Component kinds, and a solver per vertex mask, built when first asked.
-        return tuple(_component_kind(g, comp) for comp in g.components), {}
+        # Each component's kind by mask, and a solver per vertex mask, built when first asked.
+        return {comp: _component_kind(g, comp) for comp in g.components}, {}
 
     def _optimal_within(self, g: Graph, unmarked: int, members: int) -> int:
         """Staller's optimal move in the subgraph induced on ``members``, a
@@ -245,20 +245,18 @@ class ExtremalStaller(Strategy):
         if last is None:
             raise StrategyDomainError(
                 "the extremal strategy answers a Dominator move; none was made")
-        comp_index = next(i for i, comp in enumerate(g.components)
-                          if comp >> last & 1)
-        comp = g.components[comp_index]
+        comp = next(comp for comp in kinds if comp >> last & 1)
         in_component = playable_from(g, unmarked) & comp
         if in_component == 0:
             return self._optimal_within(g, unmarked, g.full_mask)
-        kind = kinds[comp_index]
+        kind = kinds[comp]
         if kind in ("P3", "C3"):
             return _mark_gains(g, unmarked, comp)[1][0]
         if kind == "C6":
-            antipode = next(v for v in vertices_of(comp)
-                            if g.distance(last, v) == 3)
-            if in_component >> antipode & 1:
-                return antipode
+            # The one vertex of the 6-cycle beyond distance 2 of ``last``.
+            antipode = comp & ~closed_neighborhood(g, closed_neighborhood(g, 1 << last))
+            if in_component & antipode:
+                return antipode.bit_length() - 1
         return self._optimal_within(g, unmarked, comp)
 
     def note(self, g, unmarked, last):
@@ -400,10 +398,14 @@ class ForcedGameSolver(Solver):
     dominator_to_move`` for a ``reads_played`` strategy. It never keys on
     ``Solver``'s automorphism orbit: the strategies break ties by lowest
     index, which an automorphism does not preserve, so automorphic states
-    can have different forced values. The entry points are
-    :meth:`value_from` and :meth:`free_side_move`, which convert the played
-    set to ``U`` through the solver's ``cache``; ``Solver``'s played-set
-    methods know nothing of the forced side.
+    can have different forced values. The entry points take a played set
+    and convert it to ``U`` through the solver's ``cache``, and each answers
+    the forced game: :meth:`value_from`, and :meth:`value` and
+    :meth:`Solver.at_most` on it, give its length, and :meth:`best_move`
+    (also :meth:`free_side_move`) the free side's optimal move. The forced
+    side has no move to optimize, and the forced game no principal
+    variation, so ``best_move`` for it and :meth:`game_value` raise
+    :class:`GameStateError`.
     """
 
     def __init__(self, g: Graph, strategy: Strategy, fixed_role: Player):
@@ -418,14 +420,21 @@ class ForcedGameSolver(Solver):
     def _played_key(self, unmarked: int) -> int:
         return self._played
 
-    def value_from(self, played: int, mover: Player, last: int | None = None) -> int:
-        """Forced game length from ``played`` with ``mover`` to move; ``last``
-        is the previous move, which the forced side's strategy may read."""
+    def value_from(self, played: int, mover: Player, last: int | None = None,
+                   alpha: int = -1, beta: int = _UNBOUNDED) -> int:
+        """Forced game length from ``played`` with ``mover`` to move, under the
+        window contract of :meth:`Solver.value`; ``last`` is the previous
+        move, which the forced side's strategy may read."""
         unmarked = self.cache.info(played)
         self._played = played
         if mover is self.fixed_role:
-            return self._forced_reply(unmarked, last, -1, _UNBOUNDED)
-        return self._search(unmarked, self._free_dom)
+            return self._forced_reply(unmarked, last, alpha, beta)
+        return self._search(unmarked, self._free_dom, alpha, beta)
+
+    def value(self, played: int, mover: Player,
+              alpha: int = -1, beta: int = _UNBOUNDED) -> int:
+        """:meth:`value_from` with no previous move."""
+        return self.value_from(played, mover, None, alpha, beta)
 
     def _forced_reply(self, unmarked: int, last: int | None,
                       alpha: int, beta: int) -> int:
@@ -451,12 +460,19 @@ class ForcedGameSolver(Solver):
         self._played = before
         return value
 
-    def free_side_move(self, played: int, mover: Player) -> int:
+    def best_move(self, played: int, mover: Player) -> int:
         """Lowest-index optimal move for the non-forced side."""
         if mover is self.fixed_role:
             raise GameStateError("the forced side has no choice to optimize")
         self._played = played
         return self._best_move(self.cache.info(played), self._free_dom)
+
+    free_side_move = best_move
+
+    def game_value(self, first_mover: Player) -> GameValue:
+        raise GameStateError(
+            "a forced game has no principal variation; use value_from, or "
+            "simulate the strategy against a BestResponseStrategy")
 
 
 def best_response_value(g: Graph, strategy: Strategy, fixed_role: Player,

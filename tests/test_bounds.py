@@ -20,6 +20,9 @@ def test_builtin_bound_names():
 
 def test_bounds_by_name_filter():
     assert [s.name for s in bounds_by_name(["T41", "T31"])] == ["T41", "T31"]
+    # A bound named twice is returned once, where it was first named.
+    assert [s.name for s in bounds_by_name(["T36", "T41", "T36", "T41"])] \
+        == ["T36", "T41"]
     with pytest.raises(KeyError):
         bounds_by_name(["T99"])
 

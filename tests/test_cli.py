@@ -217,6 +217,15 @@ def test_verify_csv_output(capsys, tmp_path):
     assert code == 0
     header = out_file.read_text().splitlines()[0]
     assert header == "id,n,m,delta,Delta,diam,igt,igtS,cp_gap,bound,value_num,value_den,strict,pass"
+    # A bound named twice is reported once, in CSV and in JSON.
+    for suffix in ("csv", "json"):
+        once, twice = tmp_path / f"once.{suffix}", tmp_path / f"twice.{suffix}"
+        for names, target in ((["T36"], once), (["T36", "T36"], twice)):
+            code, _, _ = run(capsys, "verify", str(corpus), "--bounds", *names,
+                             "--out", str(target))
+            assert code == 0
+        assert twice.read_text() == once.read_text()
+    assert len((tmp_path / "once.csv").read_text().splitlines()) == 2
 
 
 def test_reports_accept_a_non_ascii_corpus_path(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Graph construction, neighborhoods, and structural predicates."""
 
+import pickle
 import random
 from collections import deque
 
@@ -24,6 +25,27 @@ def test_simple_undirected_invariants():
         assert not g.adj[v] >> v & 1
         for u in g.neighbors(v):
             assert v in g.neighbors(u)
+
+
+def test_edges_and_m_are_the_deduplicated_input_pairs():
+    """``edges`` lists each input pair once as ``(u, v)`` with ``u < v``, in
+    sorted order, whatever the repeats and orientation of the input, and a
+    pickle round trip keeps ``n``, ``edges`` and the labels."""
+    rng = random.Random(29)
+    cases = [(0, []), (1, []), (2, [(1, 0), (0, 1), (1, 0)]),
+             (4, [(3, 2), (0, 1), (2, 3), (1, 0), (2, 1), (1, 2)])]
+    for _ in range(100):
+        n = rng.randint(2, 12)
+        cases.append((n, [tuple(rng.sample(range(n), 2))
+                          for _ in range(rng.randint(0, 2 * n))]))
+    for n, pairs in cases:
+        want = tuple(sorted({(min(u, v), max(u, v)) for u, v in pairs}))
+        for g in (Graph(n, pairs), Graph(n, pairs, [f"x{i}" for i in range(n)])):
+            assert g.edges == want
+            assert g.m == len(want)
+            back = pickle.loads(pickle.dumps(g))
+            assert (back.n, back.edges, back.labels, back.adj) \
+                == (g.n, g.edges, g.labels, g.adj)
 
 
 def test_rejects_self_loops_and_bad_vertices():
@@ -127,7 +149,9 @@ def test_component_partition_covers_exactly_once():
 def test_handshake_and_symmetry_on_random_graphs():
     for seed in range(30):
         g = random_connected(10, 0.4, 1, seed=seed)
-        assert sum(g.degrees) == 2 * g.m
+        assert g.degrees == tuple(sum(v in edge for edge in g.edges)
+                                  for v in range(g.n))
+        assert all(g.adj[u] >> v & 1 and g.adj[v] >> u & 1 for u, v in g.edges)
         assert g.min_degree == min(g.degrees)
         assert g.max_degree == max(g.degrees)
 

@@ -135,9 +135,31 @@ def test_modified_greedy_takes_leaf_when_forced():
 # -- extremal Staller ---------------------------------------------------------
 
 def test_extremal_c6_distance_three():
-    state = new_game(cycle(6)).play(0)
-    assert ExtremalStaller().choose(state.graph, state.unmarked(), Player.STALLER,
-                                    0, state.played) == 3
+    """After every Dominator opening in a 6-cycle, the extremal Staller plays
+    the vertex at distance 3 from it, on unions and on relabelled copies of
+    them, whose 6-cycles are not runs of consecutive vertices."""
+    rng = random.Random(37)
+    graphs = [from_shorthand(text) for text in
+              ("C6", "C6+C6", "P3+C6+C3", "P6+C6+C6", "C3+C6+P3+C6+P6")]
+    for g in graphs[1:]:
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            graphs.append(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+    replies = 0
+    for g in graphs:
+        staller = ExtremalStaller()
+        for comp in g.components:
+            if not (comp.bit_count() == 6 and
+                    all(g.adj[v].bit_count() == 2 for v in iter_bits(comp))):
+                continue
+            for last in iter_bits(comp):
+                state = new_game(g).play(last)
+                (want,) = [v for v in range(g.n) if g.distance(last, v) == 3]
+                assert staller.choose(g, state.unmarked(), Player.STALLER, last,
+                                      state.played) == want, (g.edges, last)
+                replies += 1
+    assert replies == 6 * 29  # 8 six-cycles, and 7 in each of 3 relabellings
 
 
 def test_extremal_p3_component_marks_all():
@@ -438,6 +460,49 @@ def test_forced_search_matches_memo_free_oracle(small_connected):
         g = from_shorthand(text)
         assert (best_response_value(g, extremal, Player.STALLER)
                 == oracles.brute_forced_value(g, extremal, Player.STALLER))
+
+
+def _check_forced_methods(search, g, strategy, fixed_role, starts):
+    """Each played-set method of ``search`` answers the forced game from the
+    empty position, checked against the memo-free oracle, or raises."""
+    free = fixed_role.other
+    for first in starts:
+        want = oracles.brute_forced_value(g, strategy, fixed_role, first)
+        assert search.value(0, first) == search.value_from(0, first) == want
+        assert [search.at_most(first, k) for k in range(g.n + 1)] \
+            == [want <= k for k in range(g.n + 1)]
+        with pytest.raises(GameStateError):
+            search.game_value(first)
+    move = search.best_move(0, free)
+    assert search.free_side_move(0, free) == move
+    assert 1 + oracles.brute_forced_value(g, strategy, fixed_role, free, (move,)) \
+        == oracles.brute_forced_value(g, strategy, fixed_role, free)
+    with pytest.raises(GameStateError):
+        search.best_move(0, fixed_role)
+
+
+def test_forced_solver_methods_answer_the_forced_game(small_connected):
+    """``value``, ``at_most`` and ``best_move``, which ``ForcedGameSolver``
+    shares with ``Solver``, answer the forced game on every corpus graph
+    with n <= 6; ``best_move`` for the forced side and ``game_value`` raise.
+    On P6 against greedy, ``Solver``'s own methods answered the free game:
+    a value of 2 where the forced game lasts 4 moves."""
+    for g in small_connected:
+        for strategy in (GreedyDominator(), ModifiedGreedyDominator(),
+                         RandomStrategy(5)):
+            search = ForcedGameSolver(g, strategy, Player.DOMINATOR)
+            _check_forced_methods(search, g, strategy, Player.DOMINATOR, Player)
+    greedy = GreedyDominator()
+    search = ForcedGameSolver(path(6), greedy, Player.DOMINATOR)
+    assert search.value(0, Player.DOMINATOR) == 4
+    assert not search.at_most(Player.DOMINATOR, 2)
+    # The extremal Staller answers a Dominator move, so Dominator starts.
+    extremal = ExtremalStaller()
+    for text in ("P3+C3", "C6", "P3+C6"):
+        g = from_shorthand(text)
+        search = ForcedGameSolver(g, extremal, Player.STALLER)
+        _check_forced_methods(search, g, extremal, Player.STALLER,
+                              (Player.DOMINATOR,))
 
 
 def test_forced_illegal_move_is_a_protocol_violation():

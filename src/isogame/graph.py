@@ -40,10 +40,14 @@ def vertices_of(mask: int) -> tuple[int, ...]:
 class Graph:
     """A simple undirected graph with cached structural data.
 
-    Only the adjacency masks are stored; ``edges`` is derived from them.
-    Instances are immutable after construction and safe to share across
-    workers. ``labels`` keeps the caller's vertex names for reports; when
-    omitted, vertex ``i`` is displayed as ``v{i+1}``.
+    The adjacency masks are the stored form; ``edges`` is derived from
+    them. The degree tuple and the degree extremes are stored with them, so
+    reading them costs an attribute lookup. Both constructors, the checked
+    ``Graph(n, edges, labels)`` and the decoders' ``_from_adjacency``, end in
+    ``_assign``, the one place that sets the fields. Instances are immutable
+    after construction and safe to share across workers. ``labels`` keeps
+    the caller's vertex names for reports; when omitted, vertex ``i`` is
+    displayed as ``v{i+1}``.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
@@ -60,10 +64,30 @@ class Graph:
             adj[v] |= 1 << u
         if labels is not None and len(labels) != n:
             raise GraphDomainError(f"expected {n} labels, got {len(labels)}")
+        self._assign(tuple(adj), tuple(labels) if labels is not None else None)
+
+    @classmethod
+    def _from_adjacency(cls, adj: tuple[int, ...]) -> "Graph":
+        """A graph on ``len(adj)`` vertices with these neighbor masks, taken
+        as they are: each mask must lie inside the vertex range, hold no
+        loop, and agree with the others (``v`` in ``adj[u]`` exactly when
+        ``u`` is in ``adj[v]``). For decoders that build valid masks by
+        construction; :meth:`__init__` is the checked constructor."""
+        g = cls.__new__(cls)
+        g._assign(adj, None)
+        return g
+
+    def _assign(self, adj: tuple[int, ...], labels: tuple[str, ...] | None) -> None:
+        """Set every field; both constructors end here."""
+        n = len(adj)
+        degrees = tuple(map(int.bit_count, adj))
         self._n = n
-        self._adj = tuple(adj)
-        self._labels = tuple(labels) if labels is not None else None
+        self._adj = adj
+        self._labels = labels
         self._full = (1 << n) - 1
+        self._degrees = degrees
+        self._low = min(degrees) if n else None
+        self._high = max(degrees) if n else None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -73,7 +97,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(self.degrees) // 2
+        return sum(self._degrees) // 2
 
     @property
     def adj(self) -> tuple[int, ...]:
@@ -117,21 +141,21 @@ class Graph:
 
     # -- cached structure --------------------------------------------------
 
-    @cached_property
+    @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(a.bit_count() for a in self._adj)
+        return self._degrees
 
-    @cached_property
+    @property
     def min_degree(self) -> int:
-        if self._n == 0:
+        if self._low is None:
             raise GraphDomainError("degree undefined on the empty graph")
-        return min(self.degrees)
+        return self._low
 
-    @cached_property
+    @property
     def max_degree(self) -> int:
-        if self._n == 0:
+        if self._high is None:
             raise GraphDomainError("degree undefined on the empty graph")
-        return max(self.degrees)
+        return self._high
 
     def _levels(self, source: int) -> Iterator[int]:
         """Breadth-first levels from ``source``: the masks of the vertices at

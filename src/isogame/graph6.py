@@ -2,8 +2,14 @@
 
 graph6 support is short form only (n <= 62, single size byte, no ``>>graph6``
 header); long-form input is rejected so oversized graphs cannot slip past the
-solver caps. Edge-list files are ``n`` on the first line followed by ``u v``
-pairs with 0-based endpoints; unlisted indices are isolated vertices.
+solver caps. A line is decoded one column of the upper triangle at a time,
+straight into adjacency masks: each column's bits are read with one shift
+and mask, and only its set bits are visited. Every byte of the line, its
+length and its padding are checked; the pairs need no check, since each
+column's rows lie below it by construction.
+
+Edge-list files are ``n`` on the first line followed by ``u v`` pairs with
+0-based endpoints; unlisted indices are isolated vertices.
 """
 
 from __future__ import annotations
@@ -41,20 +47,28 @@ def parse_graph6(line: str) -> Graph:
         if not 0 <= value <= 63:
             raise GraphFormatError(f"illegal payload byte {ch!r}", offset=1 + i)
         bits = bits << 6 | value
-    pad = need_bytes * 6 - need_bits
-    if bits & ((1 << pad) - 1):
+    shift = need_bytes * 6 - need_bits
+    if bits & ((1 << shift) - 1):
         raise GraphFormatError("nonzero padding bits", offset=len(text) - 1)
-    bits >>= pad
 
-    edges = []
-    # Upper triangle, column by column: (0,1), (0,2), (1,2), (0,3), ...
-    position = need_bits - 1
-    for col in range(1, n):
-        for row in range(col):
-            if bits >> position & 1:
-                edges.append((row, col))
-            position -= 1
-    return Graph(n, edges)
+    # The upper triangle comes column by column, (0,1), (0,2), (1,2), (0,3),
+    # ..., the first pair in the highest bit, so the last column lies just
+    # above the padding. Columns are read from there up, each as the ``col``
+    # bits above the ones already read, row 0 highest.
+    adj = [0] * n
+    for col in range(n - 1, 0, -1):
+        column = bits >> shift & ((1 << col) - 1)
+        shift += col
+        bit = 1 << col
+        rows = 0
+        while column:
+            low = column & -column
+            row = col - low.bit_length()
+            adj[row] |= bit
+            rows |= 1 << row
+            column ^= low
+        adj[col] |= rows
+    return Graph._from_adjacency(tuple(adj))
 
 
 def emit_graph6(g: Graph) -> str:

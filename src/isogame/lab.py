@@ -13,10 +13,10 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import multiprocessing
 import os
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, TextIO
 
 from .bounds import (BoundCheck, GraphFacts, bounds_by_name, check_all,
@@ -157,6 +157,7 @@ def verify(entries: Iterable[CorpusEntry], bound_names: tuple[str, ...] | None =
     if second is None:
         reports.extend(map(report, map(_solve_graph, work)))
     else:
+        import multiprocessing  # here, so that a serial run never loads it
         with multiprocessing.Pool(jobs) as pool:
             reports.extend(map(report, pool.imap(
                 _solve_graph, itertools.chain((second,), work), chunksize=64)))
@@ -317,8 +318,8 @@ def report_to_dict(report: BoundReport) -> dict:
     }
 
 
-# A report_to_dict object and a skipped entry as json.dump(..., indent=2) lays
-# them out inside the "reports" and "skipped" arrays.
+# A report_to_dict object, one of its bound checks, a check's fraction and a
+# skipped entry, as json.dump(..., indent=2) lays them out in the file.
 _REPORT_TEMPLATE = """    {
       "id": %s,
       "n": %d,
@@ -331,10 +332,42 @@ _REPORT_TEMPLATE = """    {
       "cp_gap": %d,
       "bounds": %s
     }"""
+_CHECK_TEMPLATE = """        {
+          "name": %s,
+          "target": %s,
+          "applicable": %s,
+          "value": %s,
+          "strict": %s,
+          "pass": %s,
+          "slack": %s
+        }"""
+_FRACTION_TEMPLATE = """{
+            "num": %d,
+            "den": %d
+          }"""
 _SKIPPED_TEMPLATE = """    {
       "id": %s,
       "reason": %s
     }"""
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _fraction(value: Fraction | None) -> str:
+    if value is None:
+        return "null"
+    return _FRACTION_TEMPLATE % (value.numerator, value.denominator)
+
+
+def _encode_checks(checks: tuple[BoundCheck, ...]) -> str:
+    """A report's ``"bounds"`` array as ``_REPORT_TEMPLATE`` places it."""
+    if not checks:
+        return "[]"
+    return "[\n%s\n      ]" % ",\n".join([
+        _CHECK_TEMPLATE % (json.dumps(check.name), json.dumps(check.target),
+                           _LITERALS[check.applicable], _fraction(check.value),
+                           _LITERALS[check.strict], _LITERALS[check.passed],
+                           _fraction(check.slack))
+        for check in checks])
 
 
 def _write_array(stream: TextIO, items: Iterable[str]) -> None:
@@ -351,17 +384,17 @@ def write_json_report(result: VerifyResult, stream: TextIO) -> None:
     :func:`report_to_dict` object per report.
 
     The bytes equal ``json.dump(payload, stream, indent=2)`` followed by a
-    newline. Each report is written as one string; each distinct ``checks``
-    tuple's ``"bounds"`` array is encoded once per call, and ids and reasons
-    go through ``json.dumps``, so non-ASCII text is escaped as before.
+    newline. Each report is written as one string from templates; each
+    distinct ``checks`` tuple's ``"bounds"`` array is encoded once per call,
+    and strings go through ``json.dumps``, so non-ASCII text is escaped as
+    before.
     """
     bounds: dict[int, str] = {}  # id of a checks tuple -> its encoded array
 
     def encode(report: BoundReport) -> str:
         array = bounds.get(id(report.checks))
         if array is None:
-            array = json.dumps(_checks_to_list(report.checks), indent=2)
-            array = bounds[id(report.checks)] = array.replace("\n", "\n      ")
+            array = bounds[id(report.checks)] = _encode_checks(report.checks)
         diam = _diam_field(report.diameter)
         return _REPORT_TEMPLATE % (
             json.dumps(report.gid), report.n, report.m, report.min_degree,

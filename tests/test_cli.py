@@ -4,6 +4,8 @@ import gc
 import io
 import json
 import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -409,3 +411,27 @@ def test_malformed_cap_is_usage_error(capsys, tmp_path, monkeypatch, argv, value
 
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
+
+
+def test_verify_62_vertex_line_is_skipped_at_the_cap(capsys, monkeypatch):
+    """The longest short-form line decodes, and verify skips it by the cap."""
+    code, line, _ = run(capsys, "gen", "random", "--n", "62", "--p", "0.1",
+                        "--seed", "1", "--graph6")
+    assert code == 0 and len(line.strip()) == 1 + (62 * 61 // 2 + 5) // 6
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(line.encode())))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 0
+    assert out == "verified 0 graphs, 0 failures, 1 skipped\n"
+    assert err == ("warning: skipped stdin:1: n=62 exceeds the solver cap 20; "
+                   "set ISOGAME_SOLVER_CAP to solve it anyway\n")
+
+
+def test_importing_the_cli_does_not_load_multiprocessing():
+    """Only a verify run with a pool imports multiprocessing."""
+    import isogame
+    env = dict(os.environ, PYTHONPATH=str(Path(isogame.__file__).parents[1]))
+    probe = ("import sys, isogame.cli; "
+             "print('multiprocessing' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

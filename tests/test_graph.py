@@ -129,10 +129,15 @@ def test_diameter_sentinel_is_not_an_integer():
 
 def test_empty_graph_structure_errors():
     g = Graph(0, [])
+    assert g.degrees == ()
     with pytest.raises(GraphDomainError):
         g.diameter
     with pytest.raises(GraphDomainError):
         g.components
+    with pytest.raises(GraphDomainError):
+        g.min_degree
+    with pytest.raises(GraphDomainError):
+        g.max_degree
 
 
 def test_component_partition_covers_exactly_once():

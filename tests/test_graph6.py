@@ -1,12 +1,14 @@
 """graph6 and edge-list codecs, cross-checked against networkx."""
 
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
-from isogame.errors import GraphFormatError
+from isogame.errors import GraphDomainError, GraphFormatError
 from isogame.families import complete, random_graph
+from isogame.graph import Graph
 from isogame.graph6 import (emit_edge_list, emit_graph6, parse_edge_list,
                             parse_graph6)
 
@@ -49,6 +51,68 @@ def test_trailing_bytes_rejected():
         parse_graph6(emit_graph6(complete(4)) + "?")
 
 
+@pytest.mark.parametrize("text", ["A@", "B@", "Gzzzzz", "Gzzzzz\n"])
+def test_nonzero_padding_reports_last_byte(text):
+    # n=2 has 1 pair in 6 bits, n=3 has 3 and n=8 has 28 in 30: the
+    # lowest bit of the last byte is padding in all three.
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph6(text)
+    assert str(info.value).startswith("nonzero padding bits")
+    assert info.value.offset == len(text.rstrip("\n")) - 1
+
+
+def _networkx_masks(line: str) -> tuple[int, ...]:
+    theirs = nx.from_graph6_bytes(line.encode())
+    masks = [0] * theirs.number_of_nodes()
+    for u, v in theirs.edges():
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return tuple(masks)
+
+
+def _networkx_line(n: int, edges) -> str:
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(range(n))
+    nx_graph.add_edges_from(edges)
+    return nx.to_graph6_bytes(nx_graph, header=False).decode().strip()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 62])
+def test_parse_matches_networkx_at_the_order_limits(n):
+    rng = random.Random(n)
+    for p in (0.0, 0.1, 0.5, 1.0):
+        g = random_graph(n, p, rng)
+        line = _networkx_line(n, g.edges)
+        ours = parse_graph6(line)
+        assert ours.n == n
+        assert ours.adj == _networkx_masks(line) == g.adj
+
+
+def test_every_corpus_line_matches_networkx():
+    corpus = Path(__file__).parent / "data" / "connected_3_8.g6"
+    lines = corpus.read_text(encoding="ascii").split()
+    assert len(lines) == 12111
+    for line in lines:
+        assert parse_graph6(line).adj == _networkx_masks(line)
+
+
+def test_decoded_graph_equals_the_checked_constructor():
+    rng = random.Random(13)
+    for _ in range(300):
+        g = random_graph(rng.randint(0, 20), rng.random(), rng)
+        back = parse_graph6(emit_graph6(g))
+        built = Graph(back.n, back.edges)
+        assert (back.n, back.adj, back.full_mask, back.degrees, back.m, back.labels) \
+            == (built.n, built.adj, built.full_mask, built.degrees, built.m, built.labels)
+        if g.n:
+            assert (back.min_degree, back.max_degree) == (built.min_degree, built.max_degree)
+        else:
+            with pytest.raises(GraphDomainError):
+                back.min_degree
+            with pytest.raises(GraphDomainError):
+                back.max_degree
+
+
 def test_round_trip_identity_random_graphs():
     rng = random.Random(5)
     for _ in range(10_000):
@@ -62,21 +126,14 @@ def test_emit_matches_networkx():
     rng = random.Random(7)
     for _ in range(300):
         g = random_graph(rng.randint(1, 30), rng.random(), rng)
-        nx_graph = nx.Graph()
-        nx_graph.add_nodes_from(range(g.n))
-        nx_graph.add_edges_from(g.edges)
-        expected = nx.to_graph6_bytes(nx_graph, header=False).decode().strip()
-        assert emit_graph6(g) == expected
+        assert emit_graph6(g) == _networkx_line(g.n, g.edges)
 
 
 def test_parse_matches_networkx():
     rng = random.Random(9)
     for _ in range(300):
         g = random_graph(rng.randint(1, 30), rng.random(), rng)
-        nx_graph = nx.Graph()
-        nx_graph.add_nodes_from(range(g.n))
-        nx_graph.add_edges_from(g.edges)
-        line = nx.to_graph6_bytes(nx_graph, header=False).decode().strip()
+        line = _networkx_line(g.n, g.edges)
         ours = parse_graph6(line)
         theirs = nx.from_graph6_bytes(line.encode())
         assert ours.n == theirs.number_of_nodes()

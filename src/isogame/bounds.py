@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import UnknownBoundError
-from .graph import Graph
+from .graph import INFINITE_DIAMETER, Graph
 
 TARGET_DGAME = "igt"
 TARGET_SGAME = "igtS"
@@ -32,8 +32,10 @@ class GraphFacts:
 
     @classmethod
     def of(cls, g: Graph) -> "GraphFacts":
+        # The diameter's breadth-first sweep also decides connectivity.
+        diameter = g.diameter
         return cls(n=g.n, m=g.m, min_degree=g.min_degree, max_degree=g.max_degree,
-                   diameter=g.diameter, connected=g.is_connected())
+                   diameter=diameter, connected=diameter != INFINITE_DIAMETER)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,10 @@ def marked_set(g: Graph, played: int) -> MarkPartition:
     vertices whose neighbors were all deleted with the played neighborhood.
     """
     g._check_subset(played)
+    if not played and g._low:
+        # Nothing played marks no neighbor, and only a degree-0 vertex is
+        # isolated in the whole graph, so the root of a game marks nothing.
+        return MarkPartition(0, g.full_mask)
     adj = g.adj
     marked = playable_from(g, played)
     full = g.full_mask

@@ -43,11 +43,12 @@ class Graph:
     The adjacency masks are the stored form; ``edges`` is derived from
     them. The degree tuple and the degree extremes are stored with them, so
     reading them costs an attribute lookup. Both constructors, the checked
-    ``Graph(n, edges, labels)`` and the decoders' ``_from_adjacency``, end in
-    ``_assign``, the one place that sets the fields. Instances are immutable
-    after construction and safe to share across workers. ``labels`` keeps
-    the caller's vertex names for reports; when omitted, vertex ``i`` is
-    displayed as ``v{i+1}``.
+    ``Graph(n, edges, labels)`` and ``_from_adjacency`` (for decoders and
+    unpickling), end in ``_assign``, the one place that sets the fields.
+    Instances are immutable after construction and pickle as their
+    adjacency masks and labels, so they are cheap to share across workers.
+    ``labels`` keeps the caller's vertex names for reports; when omitted,
+    vertex ``i`` is displayed as ``v{i+1}``.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
@@ -67,14 +68,16 @@ class Graph:
         self._assign(tuple(adj), tuple(labels) if labels is not None else None)
 
     @classmethod
-    def _from_adjacency(cls, adj: tuple[int, ...]) -> "Graph":
-        """A graph on ``len(adj)`` vertices with these neighbor masks, taken
-        as they are: each mask must lie inside the vertex range, hold no
-        loop, and agree with the others (``v`` in ``adj[u]`` exactly when
-        ``u`` is in ``adj[v]``). For decoders that build valid masks by
-        construction; :meth:`__init__` is the checked constructor."""
+    def _from_adjacency(cls, adj: tuple[int, ...],
+                        labels: tuple[str, ...] | None = None) -> "Graph":
+        """A graph on ``len(adj)`` vertices with these neighbor masks and
+        labels, taken as they are: each mask must lie inside the vertex
+        range, hold no loop, and agree with the others (``v`` in ``adj[u]``
+        exactly when ``u`` is in ``adj[v]``), and ``labels`` is None or one
+        label per vertex. For decoders and unpickling, which have valid
+        masks by construction; :meth:`__init__` is the checked constructor."""
         g = cls.__new__(cls)
-        g._assign(adj, None)
+        g._assign(adj, labels)
         return g
 
     def _assign(self, adj: tuple[int, ...], labels: tuple[str, ...] | None) -> None:
@@ -219,10 +222,10 @@ class Graph:
         """
         if self._n == 0:
             raise GraphDomainError("diameter undefined on the empty graph")
-        if not self.is_connected():
-            return INFINITE_DIAMETER
         # One breadth-first search per source, stopped once it has seen the
-        # whole (connected) graph: its level count is the eccentricity.
+        # whole graph: its level count is the eccentricity. A frontier that
+        # empties first means the graph is disconnected, which the first
+        # source already finds.
         adj, full = self._adj, self._full
         widest = 0
         for source in range(self._n):
@@ -235,6 +238,8 @@ class Graph:
                     grow |= adj[low.bit_length() - 1]
                     frontier ^= low
                 frontier = grow & ~seen
+                if not frontier:
+                    return INFINITE_DIAMETER
                 seen |= frontier
                 depth += 1
             if depth > widest:
@@ -244,7 +249,7 @@ class Graph:
     # -- misc --------------------------------------------------------------
 
     def __reduce__(self):
-        return (Graph, (self._n, self.edges, self._labels))
+        return (Graph._from_adjacency, (self._adj, self._labels))
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.m})"

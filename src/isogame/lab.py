@@ -17,7 +17,8 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, TextIO
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .bounds import (BoundCheck, GraphFacts, bounds_by_name, check_all,
                      check_key, largest_satisfying)
@@ -26,7 +27,7 @@ from .errors import GraphDomainError, GraphFormatError, SolverCapError
 from .families import random_graph
 from .graph import Graph
 from .graph6 import parse_graph6
-from .solver import (Solver, check_solvable, cp_gap, solve_both,
+from .solver import (Solver, _check_solvable, cp_gap, solve_both,
                      solver_cap_from_env)
 
 REPORT_SCHEMA = 1
@@ -34,8 +35,7 @@ CSV_COLUMNS = ["id", "n", "m", "delta", "Delta", "diam", "igt", "igtS",
                "cp_gap", "bound", "value_num", "value_den", "strict", "pass"]
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     gid: str
     graph: Graph | None
     error: str | None = None
@@ -50,9 +50,9 @@ def load_graph6_corpus(lines: Iterable[str], source: str = "corpus") -> Iterator
             continue
         gid = f"{source}:{lineno}"
         try:
-            yield CorpusEntry(gid=gid, graph=parse_graph6(line))
+            yield CorpusEntry(gid, parse_graph6(line))
         except GraphFormatError as exc:
-            yield CorpusEntry(gid=gid, graph=None, error=str(exc))
+            yield CorpusEntry(gid, None, str(exc))
 
 
 def _solvable(entries: Iterable[CorpusEntry],
@@ -61,13 +61,13 @@ def _solvable(entries: Iterable[CorpusEntry],
     append ``(gid, reason)`` to ``skipped`` for every other one."""
     # A malformed cap setting is a usage error, not one skip per graph, so
     # it raises before the first entry (on an empty corpus too).
-    solver_cap_from_env()
+    cap = solver_cap_from_env()
     for entry in entries:
         if entry.graph is None:
             skipped.append((entry.gid, entry.error))
             continue
         try:
-            check_solvable(entry.graph)
+            _check_solvable(entry.graph, cap)
         except (GraphDomainError, SolverCapError) as exc:
             skipped.append((entry.gid, str(exc)))
             continue
@@ -109,8 +109,10 @@ class VerifyResult:
     reports: list[BoundReport]
     skipped: list[tuple[str, str]]
 
-    @property
+    @cached_property
     def failures(self) -> int:
+        """Reports with a failed check, counted on first read: the summary
+        line, the JSON summary and the exit code all read it."""
         return sum(1 for report in self.reports if report.failed)
 
     @property
@@ -176,6 +178,21 @@ class ConjectureScan:
         return 1 if self.counterexamples else 0
 
 
+def _has_edge_component(g: Graph) -> bool:
+    """Whether a graph with no isolated vertex has a component of order < 3.
+
+    Such a component is a single edge: a vertex of degree 1 whose one
+    neighbor has it as its one neighbor. The stored degrees and masks
+    decide it, so a graph of minimum degree 2 or more costs one comparison."""
+    if g.min_degree > 1:
+        return False
+    adj = g.adj
+    for v, d in enumerate(g.degrees):
+        if d == 1 and adj[adj[v].bit_length() - 1] == 1 << v:
+            return True
+    return False
+
+
 def scan_conjecture(entries: Iterable[CorpusEntry]) -> ConjectureScan:
     """Flag every graph with igt > 2n/3 among solvable graphs whose
     components all have order at least 3 (others are skipped).
@@ -186,7 +203,7 @@ def scan_conjecture(entries: Iterable[CorpusEntry]) -> ConjectureScan:
     skipped: list[tuple[str, str]] = []
     checked = 0
     for gid, g in _solvable(entries, skipped):
-        if any(comp.bit_count() < 3 for comp in g.components):
+        if _has_edge_component(g):
             skipped.append((gid, "has a component of order < 3"))
             continue
         solver = Solver(g)
@@ -258,10 +275,10 @@ def diam2_sample(n: int, p: float, trials: int, seed: int) -> Diameter2Summary:
     violations = []
     for trial in range(trials):
         g = random_graph(n, p, rng)
-        if not g.is_connected():
+        facts = GraphFacts.of(g)
+        if not facts.connected:
             continue
         connected += 1
-        facts = GraphFacts.of(g)
         if facts.diameter == 2:
             diameter2 += 1
         if not t36.applies(facts):

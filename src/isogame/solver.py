@@ -107,11 +107,16 @@ class StateCache:
 
 
 def check_solvable(g: Graph) -> None:
-    """The one solvability rule: the game's domain, at most the solver cap
-    (read here, so every search honours ``ISOGAME_SOLVER_CAP``), and at most
-    half the recursion limit, since the searches recurse once per move and a
-    game has at most n moves (the other half is for the callers)."""
-    cap = solver_cap_from_env()
+    """The one solvability rule, under the solver cap read here, so every
+    search honours ``ISOGAME_SOLVER_CAP``; see :func:`_check_solvable`."""
+    _check_solvable(g, solver_cap_from_env())
+
+
+def _check_solvable(g: Graph, cap: int) -> None:
+    """The game's domain, at most ``cap`` vertices, and at most half the
+    recursion limit, since the searches recurse once per move and a game
+    has at most n moves (the other half is for the callers). A corpus run
+    reads the cap once and checks each graph here."""
     check_game_domain(g)
     if g.n > cap:
         raise SolverCapError(

@@ -1,5 +1,6 @@
 """Bound formulas, applicability, strictness, and exact rational checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from isogame.bounds import (GraphFacts, bound_names, bounds_by_name,
                             builtin_bounds, check_all, check_bound,
                             largest_satisfying, satisfies)
-from isogame.families import complete, cycle, path
+from isogame.families import complete, cycle, disjoint_union, path
+from isogame.graph import INFINITE_DIAMETER, Graph
 from isogame.solver import solve_both
 
 SPECS = {spec.name: spec for spec in builtin_bounds()}
@@ -134,3 +136,31 @@ def test_bound_nesting(corpus_graphs):
             assert SPECS["T31"].value(facts) <= SPECS["C32"].value(facts)
         if SPECS["C32"].applies(facts):
             assert SPECS["C32"].value(facts) <= SPECS["C35a"].value(facts)
+
+
+def _facts_agree_with_the_graph(g):
+    facts = GraphFacts.of(g)
+    assert facts.connected == g.is_connected()
+    if facts.connected:
+        assert facts.diameter == max(max(row) for row in g.distances)
+    else:
+        assert facts.diameter == INFINITE_DIAMETER
+        assert any(-1 in row for row in g.distances)
+
+
+def test_facts_take_connectivity_from_the_diameter_sweep(corpus_graphs):
+    """``GraphFacts.of`` reads connectivity off the diameter's sweep; it
+    agrees with the components and the distance matrix on the corpus and on
+    relabelled unions, connected (one part) and disconnected, whichever
+    component the first breadth-first search starts in."""
+    for g in corpus_graphs[::7]:
+        _facts_agree_with_the_graph(g)
+    _facts_agree_with_the_graph(path(1))
+    rng = random.Random(37)
+    parts = [path(1), path(2), path(3), path(5), cycle(4), complete(4)]
+    for _ in range(200):
+        g = disjoint_union(rng.sample(parts, rng.randint(1, 3)))
+        order = list(range(g.n))
+        rng.shuffle(order)
+        _facts_agree_with_the_graph(
+            Graph(g.n, [(order[u], order[v]) for u, v in g.edges]))

@@ -13,7 +13,7 @@ from isogame.engine import (GameState, Player, is_isolating_set,
                             is_total_isolating_set, marked_set, new_game,
                             playable_set, replay)
 from isogame.errors import GraphDomainError, IllegalMoveError
-from isogame.families import complete, cycle, disjoint_union, path
+from isogame.families import complete, cycle, disjoint_union, path, random_graph
 from isogame.graph import Graph, vertex_set, vertices_of
 
 from conftest import random_isolate_free
@@ -80,6 +80,25 @@ def test_marked_agrees_with_oracle():
         played = rng.getrandbits(g.n) & g.full_mask
         assert set(vertices_of(marked_set(g, played).marked)) \
             == oracles.marked_vertices(g, set(vertices_of(played)))
+
+
+def test_root_marking_agrees_with_oracle_with_and_without_isolates():
+    """``marked_set(g, 0)`` marks nothing on an isolate-free graph and
+    exactly the isolated vertices otherwise, as the oracle derives it, on
+    the orders 0, 1 and 2 too."""
+    rng = random.Random(43)
+    graphs = [Graph(0, []), Graph(1, []), Graph(2, []), Graph(2, [(0, 1)]),
+              Graph(5, [(1, 3)]), P5, cycle(6)]
+    for _ in range(300):
+        p = rng.choice((0.1, 0.3, 0.6))
+        graphs.append(random_graph(rng.randint(0, 9), p, rng))
+    assert any(g.n and g.min_degree == 0 for g in graphs)
+    assert any(g.n and g.min_degree > 0 for g in graphs)
+    for g in graphs:
+        part = marked_set(g, 0)
+        assert set(vertices_of(part.marked)) == oracles.marked_vertices(g, set())
+        assert part.marked | part.unmarked == g.full_mask
+        assert part.marked & part.unmarked == 0
 
 
 def test_play_legal_and_terminal_on_p5():

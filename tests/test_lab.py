@@ -18,9 +18,9 @@ from isogame.families import complete, cycle, disjoint_union, path
 from isogame.graph import Graph
 from isogame.graph6 import emit_graph6
 from isogame.lab import (CSV_COLUMNS, BoundReport, CorpusEntry, VerifyResult,
-                         cp_scan, diam2_sample, load_graph6_corpus,
-                         report_to_dict, scan_conjecture, verify,
-                         write_csv_report, write_json_report)
+                         _has_edge_component, cp_scan, diam2_sample,
+                         load_graph6_corpus, report_to_dict, scan_conjecture,
+                         verify, write_csv_report, write_json_report)
 from isogame.solver import Solver, solve, solve_both
 
 
@@ -183,6 +183,33 @@ def test_scan_conjecture_skips_small_components():
     scan = scan_conjecture([CorpusEntry("k2c4", g)])
     assert scan.checked == 0
     assert scan.skipped and "order < 3" in scan.skipped[0][1]
+
+
+def _star(leaves):
+    return Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def _has_small_component(g):
+    return any(comp.bit_count() < 3 for comp in g.components)
+
+
+def test_edge_component_test_matches_the_components(corpus_graphs):
+    """The degree test for a component of order < 3 agrees with the
+    components on every corpus graph and on relabelled isolate-free unions
+    of K2, P3, stars and cycles."""
+    for g in corpus_graphs:
+        assert _has_edge_component(g) is _has_small_component(g)
+    rng = random.Random(47)
+    parts = [complete(2), path(3), _star(3), _star(4), cycle(3), cycle(5), path(4)]
+    seen = set()
+    for _ in range(500):
+        g = disjoint_union([rng.choice(parts) for _ in range(rng.randint(1, 4))])
+        order = list(range(g.n))
+        rng.shuffle(order)
+        g = Graph(g.n, [(order[u], order[v]) for u, v in g.edges])
+        assert _has_edge_component(g) is _has_small_component(g)
+        seen.add(_has_edge_component(g))
+    assert seen == {False, True}
 
 
 def test_scan_conjecture_reports_the_exact_value_of_a_counterexample(monkeypatch):

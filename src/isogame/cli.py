@@ -10,17 +10,19 @@ from __future__ import annotations
 import argparse
 import io
 import sys
+from contextlib import contextmanager, nullcontext
 from typing import Sequence
 
 from .bounds import bound_names
 from .engine import Player
 from .errors import IsogameError
-from .families import from_shorthand, random_connected
+from .families import from_shorthand, random_connected, shorthand_order
 from .graph import Graph
-from .graph6 import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
+from .graph6 import (edge_list_order, emit_edge_list, emit_graph6,
+                     parse_edge_list, parse_graph6)
 from .lab import (cp_scan, diam2_sample, load_graph6_corpus, scan_conjecture,
                   verify, write_csv_report, write_json_report)
-from .solver import solve
+from .solver import check_order, solve, solver_cap_from_env
 from .strategies import (BestResponseStrategy, ExtremalStaller,
                          GreedyDominator, ModifiedGreedyDominator,
                          OptimalStrategy, RandomStrategy, simulate)
@@ -30,20 +32,27 @@ STRATEGY_NAMES = ("greedy", "modified-greedy", "optimal", "random",
 USAGE_ERROR = 2
 
 
-def _load_graph(args) -> Graph:
+def _load_graph(args, cap: int | None = None) -> Graph:
+    """The one graph the arguments name. Under a solver ``cap``, an order
+    the solver would refuse is refused before the graph is built."""
     sources = [bool(args.family), args.g6 is not None, args.edge_list is not None]
     if sum(sources) != 1:
         raise IsogameError(
             "give exactly one graph input: a family shorthand (e.g. P5, "
             "P3+C6), --g6 <string|->, or --edge-list <file>")
     if args.family:
+        if cap is not None:
+            check_order(shorthand_order(args.family), cap)
         return from_shorthand(args.family)
     if args.g6 is not None:
         text = sys.stdin.readline() if args.g6 == "-" else args.g6
         return parse_graph6(text.strip())
     # As for corpora: undecodable bytes become U+FFFD, a GraphFormatError.
     with open(args.edge_list, encoding="ascii", errors="replace") as handle:
-        return parse_edge_list(handle.read())
+        text = handle.read()
+    if cap is not None:
+        check_order(edge_list_order(text), cap)
+    return parse_edge_list(text)
 
 
 def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
@@ -55,19 +64,21 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
                         help="edge-list file: n, then one 'u v' pair per line")
 
 
+@contextmanager
 def _corpus_entries(path: str):
     # Undecodable bytes become U+FFFD, which the graph6 parser rejects, so
     # such a line is skipped with a warning like any other malformed line.
-    # The stream stays open while the lab consumes the entries.
+    # The stream opens on entry, so a missing corpus fails before any
+    # output, and stays open while the lab consumes the entries.
     if path == "-":
         stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="ascii", errors="replace")
         try:
-            yield from load_graph6_corpus(stdin, source="stdin")
+            yield load_graph6_corpus(stdin, source="stdin")
         finally:
             stdin.detach()
         return
     with open(path, encoding="ascii", errors="replace") as handle:
-        yield from load_graph6_corpus(handle, source=path)
+        yield load_graph6_corpus(handle, source=path)
 
 
 def _warn_skipped(skipped: Sequence[tuple[str, str]]) -> None:
@@ -121,7 +132,7 @@ def _pv_text(g: Graph, variation: Sequence[int]) -> str:
 
 
 def _cmd_solve(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args, solver_cap_from_env())
     first = Player.STALLER if args.staller_start else Player.DOMINATOR
     value = solve(g, first)
     label = "igtS" if args.staller_start else "igt"
@@ -146,28 +157,34 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    entries = _corpus_entries(args.corpus)
     names = tuple(args.bounds) if args.bounds else None
-    result = verify(entries, bound_names=names, jobs=args.jobs)
-    for report in result.reports:
-        bad = [c.name for c in report.checks if c.applicable and not c.passed]
-        status = "FAIL " + ",".join(bad) if bad else "ok"
-        print(f"{report.gid} n={report.n} igt={report.igt} igtS={report.igts} {status}")
-    _warn_skipped(result.skipped)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+    # The report opens before the first graph is solved, so an unusable
+    # path fails before any work or output. It opens for appending, and a
+    # file is emptied only once the corpus is read: it may be the corpus.
+    with (_corpus_entries(args.corpus) as entries,
+          (open(args.out, "a", encoding="utf-8", newline="")
+           if args.out else nullcontext()) as out):
+        result = verify(entries, bound_names=names, jobs=args.jobs)
+        for report in result.reports:
+            bad = [c.name for c in report.checks if c.applicable and not c.passed]
+            status = "FAIL " + ",".join(bad) if bad else "ok"
+            print(f"{report.gid} n={report.n} igt={report.igt} igtS={report.igts} {status}")
+        _warn_skipped(result.skipped)
+        if args.out:
+            if out.seekable():
+                out.truncate(0)
             if args.out.endswith(".csv"):
-                write_csv_report(result, handle)
+                write_csv_report(result, out)
             else:
-                write_json_report(result, handle)
+                write_json_report(result, out)
     print(f"verified {len(result.reports)} graphs, "
           f"{result.failures} failures, {len(result.skipped)} skipped")
     return result.exit_code
 
 
 def _cmd_scan_conjecture(args) -> int:
-    entries = _corpus_entries(args.corpus)
-    scan = scan_conjecture(entries)
+    with _corpus_entries(args.corpus) as entries:
+        scan = scan_conjecture(entries)
     _warn_skipped(scan.skipped)
     if scan.counterexamples:
         print("!" * 72)
@@ -183,8 +200,8 @@ def _cmd_scan_conjecture(args) -> int:
 
 
 def _cmd_cp_scan(args) -> int:
-    entries = _corpus_entries(args.corpus)
-    scan = cp_scan(entries)
+    with _corpus_entries(args.corpus) as entries:
+        scan = cp_scan(entries)
     _warn_skipped(scan.skipped)
     for gap in sorted(scan.histogram):
         print(f"gap {gap:+d}: {scan.histogram[gap]} graphs")

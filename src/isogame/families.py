@@ -73,22 +73,28 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
-def from_shorthand(text: str) -> Graph:
-    """Build a graph from family shorthand like ``P5`` or ``P3+C6``."""
+def _terms(text: str) -> list[tuple[str, int]]:
+    """The (kind, order) terms of a family shorthand, kinds upper-cased."""
     compact = re.sub(r"\s+", "", text)
     if not compact:
         raise GraphDomainError("empty family shorthand")
-    parts = []
+    terms = []
     for term in compact.split("+"):
         match = _TERM_RE.fullmatch(term)
         if match is None:
             raise GraphDomainError(
                 f"bad family term {term!r}; expected P<k>, C<k>, or K<k>")
-        kind, k = match.group(1).upper(), int(match.group(2))
-        if kind == "P":
-            parts.append(path(k))
-        elif kind == "C":
-            parts.append(cycle(k))
-        else:
-            parts.append(complete(k))
+        terms.append((match.group(1).upper(), int(match.group(2))))
+    return terms
+
+
+def shorthand_order(text: str) -> int:
+    """The order of the graph a family shorthand names, without building it."""
+    return sum(k for _, k in _terms(text))
+
+
+def from_shorthand(text: str) -> Graph:
+    """Build a graph from family shorthand like ``P5`` or ``P3+C6``."""
+    builders = {"P": path, "C": cycle, "K": complete}
+    parts = [builders[kind](k) for kind, k in _terms(text)]
     return parts[0] if len(parts) == 1 else disjoint_union(parts)

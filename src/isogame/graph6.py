@@ -91,17 +91,25 @@ def emit_graph6(g: Graph) -> str:
     return "".join(chars)
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Decode the ``n`` + ``u v`` lines edge-list format."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
+def edge_list_order(text: str) -> int:
+    """The vertex count on an edge list's first non-blank line, read
+    without the edges."""
+    header = next((ln for ln in (raw.strip() for raw in text.splitlines()) if ln), None)
+    if header is None:
         raise GraphFormatError("empty edge-list input")
     try:
-        n = int(lines[0])
+        n = int(header)
     except ValueError:
-        raise GraphFormatError(f"first line must be the vertex count, got {lines[0]!r}")
+        raise GraphFormatError(f"first line must be the vertex count, got {header!r}")
     if n < 0:
         raise GraphFormatError(f"vertex count must be nonnegative, got {n}")
+    return n
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Decode the ``n`` + ``u v`` lines edge-list format."""
+    n = edge_list_order(text)
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     edges = []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split()

@@ -303,40 +303,8 @@ def _diam_field(diameter: float):
     return int(diameter) if diameter != float("inf") else None
 
 
-def _checks_to_list(checks: tuple[BoundCheck, ...]) -> list[dict]:
-    return [
-        {
-            "name": check.name,
-            "target": check.target,
-            "applicable": check.applicable,
-            "value": None if check.value is None else
-                     {"num": check.value.numerator, "den": check.value.denominator},
-            "strict": check.strict,
-            "pass": check.passed,
-            "slack": None if check.slack is None else
-                     {"num": check.slack.numerator, "den": check.slack.denominator},
-        }
-        for check in checks
-    ]
-
-
-def report_to_dict(report: BoundReport) -> dict:
-    return {
-        "id": report.gid,
-        "n": report.n,
-        "m": report.m,
-        "delta": report.min_degree,
-        "Delta": report.max_degree,
-        "diam": _diam_field(report.diameter),
-        "igt": report.igt,
-        "igtS": report.igts,
-        "cp_gap": report.cp_gap,
-        "bounds": _checks_to_list(report.checks),
-    }
-
-
-# A report_to_dict object, one of its bound checks, a check's fraction and a
-# skipped entry, as json.dump(..., indent=2) lays them out in the file.
+# A report object, one of its bound checks, a check's fraction and a skipped
+# entry, as json.dump(..., indent=2) lays them out in the file.
 _REPORT_TEMPLATE = """    {
       "id": %s,
       "n": %d,
@@ -397,8 +365,9 @@ def _write_array(stream: TextIO, items: Iterable[str]) -> None:
 
 
 def write_json_report(result: VerifyResult, stream: TextIO) -> None:
-    """Write ``{"schema", "reports", "skipped", "summary"}`` with one
-    :func:`report_to_dict` object per report.
+    """Write ``{"schema", "reports", "skipped", "summary"}`` with one object
+    per report, its fields and ``"bounds"`` array as ``_REPORT_TEMPLATE``
+    lays them out.
 
     The bytes equal ``json.dump(payload, stream, indent=2)`` followed by a
     newline. Each report is written as one string from templates; each

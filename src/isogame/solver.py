@@ -13,10 +13,13 @@ child; :meth:`Solver.best_move` and principal variations take the
 lowest-index optimal move, so they are reproducible and do not depend on
 that order.
 
-Two exact reductions keep the search small. Every legal move marks its
+Three exact reductions keep the search small. Every legal move marks its
 unmarked witness, so a non-terminal value lies in ``[1, |U|]``: a window
 outside that bracket is cut off at once, the bracket is every state's
-default table entry, and no stored bound leaves it. And a graph
+default table entry, and no stored bound leaves it. Dominator's value is 1
+exactly when one move marks all of ``U``, so when the window, inside that
+bracket, asks only whether the value is at most 1, one pass over ``U``
+(:func:`_ending_moves`) settles it without stepping a child. And a graph
 automorphism maps a state to one of equal value, so table entries are
 shared per automorphism orbit of ``U`` (Allis 1994): on a graph of more
 than 8 vertices on which at least ``n`` automorphisms are found (the search
@@ -113,19 +116,25 @@ def check_solvable(g: Graph) -> None:
 
 
 def _check_solvable(g: Graph, cap: int) -> None:
-    """The game's domain, at most ``cap`` vertices, and at most half the
-    recursion limit, since the searches recurse once per move and a game
-    has at most n moves (the other half is for the callers). A corpus run
-    reads the cap once and checks each graph here."""
+    """The game's domain, then :func:`check_order`. A corpus run reads the
+    cap once and checks each graph here."""
     check_game_domain(g)
-    if g.n > cap:
+    check_order(g.n, cap)
+
+
+def check_order(n: int, cap: int) -> None:
+    """At most ``cap`` vertices, and at most half the recursion limit, since
+    the searches recurse once per move and a game has at most n moves (the
+    other half is for the callers). It needs only the order, so a graph can
+    be refused before it is built."""
+    if n > cap:
         raise SolverCapError(
-            f"n={g.n} exceeds the solver cap {cap}; "
+            f"n={n} exceeds the solver cap {cap}; "
             f"set {SOLVER_CAP_ENV} to solve it anyway")
     limit = sys.getrecursionlimit()
-    if g.n > limit // 2:
+    if n > limit // 2:
         raise SolverCapError(
-            f"n={g.n} exceeds {limit // 2}, half of Python's recursion limit "
+            f"n={n} exceeds {limit // 2}, half of Python's recursion limit "
             f"{limit}; the search recurses once per move")
 
 
@@ -154,6 +163,30 @@ def _step(adj: tuple[int, ...], unmarked: int, w: int) -> int:
             isolated |= low
         near ^= low
     return after ^ isolated
+
+
+def _ending_moves(adj: tuple[int, ...], unmarked: int) -> int:
+    """The moves that mark all of the non-empty ``unmarked`` set ``U``.
+
+    By the derivation of :func:`strategies._mark_gains`, ``w`` marks an
+    unplayed ``x`` in ``U`` when ``w`` is in ``N(x)``, or is outside ``N[x]``
+    and adjacent to all of ``N(x) & U``; a played ``x`` (``N(x) & U`` empty)
+    only when ``w`` is in ``N(x)``. One pass intersects these sets over ``U``.
+    """
+    ends = -1
+    rest = unmarked
+    while rest and ends:
+        low = rest & -rest
+        rest ^= low
+        near = adj[low.bit_length() - 1]
+        around = near & unmarked
+        isolating = ends & ~(near | low) if around else 0
+        while around and isolating:
+            bit = around & -around
+            isolating &= adj[bit.bit_length() - 1]
+            around ^= bit
+        ends &= near | isolating
+    return ends
 
 
 def _automorphisms(g: Graph, limit: int) -> list[tuple[int, ...]]:
@@ -251,8 +284,12 @@ class Solver:
     ``beta <= 1``, and one with ``|U| == 1`` returns its value 1; these
     store nothing, and the default entry could settle no other probe, so
     :attr:`stats` counts as hits only probes that a stored entry settled.
-    The public methods take a played set and convert it to its unmarked
-    set once, through ``cache``.
+    After the probe, a Dominator node whose window, narrowed by its entry,
+    has ``beta <= 2`` (every node with ``|U| == 2`` among them) returns 1
+    when :func:`_ending_moves` finds a move marking all of ``U`` and the
+    lower bound 2 otherwise, and stores it like a searched result; its
+    children would say no more. The public methods take a played set and
+    convert it to its unmarked set once, through ``cache``.
 
     Alpha-beta cuts the most when the best child comes first, so a node
     tries its playable vertices ``v`` by ``|U & N(v)|``, the unmarked
@@ -269,8 +306,8 @@ class Solver:
     entries stay in the same table, so a later exact :meth:`value` reuses
     them.
 
-    :meth:`best_move` still scans in index order for the lowest-index
-    child attaining the value ``t``, but tests each child with one such
+    :meth:`best_move` scans in index order for the lowest-index child
+    attaining the value ``t``, but tests each child with one such
     null-window search instead of an exact one. Every Dominator child is
     worth at least ``t - 1``, so under the window ``(t - 1, t)`` a result
     at or below ``t - 1`` says it attains ``t``; every Staller child is
@@ -281,8 +318,10 @@ class Solver:
     last, alpha, beta)``, the moves left after the free side played
     ``last``; ``_search`` and ``_best_move`` then take it as each child's
     value, less the move just made, and the table holds free-side states
-    only, never keyed on an orbit. ``_key_of``, when set, maps ``U`` to the
-    table's key in place of ``U``.
+    only, never keyed on an orbit. The one-pass cut holds there too: a
+    forced reply is 0 on an empty ``U``, and 1 under ``beta <= 1`` before
+    its strategy is asked. ``_key_of``, when set, maps ``U`` to the table's
+    key in place of ``U``.
     """
 
     _forced_reply = None
@@ -348,41 +387,45 @@ class Solver:
             beta = high
         alpha_in, beta_in = alpha, beta
         adj = self._adj
-        search = self._search
-        forced = self._forced_reply
-        shift = self._shift
-        mask = (1 << shift) - 1
-        flip = mask if dom else 0
-        codes = []
-        playable = playable_from(self.graph, unmarked)
-        while playable:
-            bit = playable & -playable
-            w = bit.bit_length() - 1
-            codes.append((unmarked & adj[w]).bit_count() << shift | (w ^ flip))
-            playable ^= bit
-        codes.sort(reverse=dom)
-        best = _UNBOUNDED if dom else 0
-        other = not dom
-        for code in codes:
-            v = (code & mask) ^ flip
-            after = _step(adj, unmarked, v)
-            if forced is None:
-                child = 1 + search(after, other, alpha - 1, beta - 1)
-            else:
-                child = 1 + forced(after, v, alpha - 1, beta - 1)
-            if dom:
-                if child < best:
+        if dom and beta <= 2:
+            # The window asks only whether one move ends the game.
+            best = 1 if _ending_moves(adj, unmarked) else 2
+        else:
+            search = self._search
+            forced = self._forced_reply
+            shift = self._shift
+            mask = (1 << shift) - 1
+            flip = mask if dom else 0
+            codes = []
+            playable = playable_from(self.graph, unmarked)
+            while playable:
+                bit = playable & -playable
+                w = bit.bit_length() - 1
+                codes.append((unmarked & adj[w]).bit_count() << shift | (w ^ flip))
+                playable ^= bit
+            codes.sort(reverse=dom)
+            best = _UNBOUNDED if dom else 0
+            other = not dom
+            for code in codes:
+                v = (code & mask) ^ flip
+                after = _step(adj, unmarked, v)
+                if forced is None:
+                    child = 1 + search(after, other, alpha - 1, beta - 1)
+                else:
+                    child = 1 + forced(after, v, alpha - 1, beta - 1)
+                if dom:
+                    if child < best:
+                        best = child
+                        if best < beta:
+                            beta = best
+                        if alpha >= beta:
+                            break
+                elif child > best:
                     best = child
-                    if best < beta:
-                        beta = best
+                    if best > alpha:
+                        alpha = best
                     if alpha >= beta:
                         break
-            elif child > best:
-                best = child
-                if best > alpha:
-                    alpha = best
-                if alpha >= beta:
-                    break
         self._table[key] = (best if best > alpha_in else low,
                             best if best < beta_in else high)
         return best

@@ -250,6 +250,71 @@ def test_verify_missing_file_is_io_error(capsys):
         == (2, "", err)
 
 
+def test_verify_opens_the_report_before_solving(capsys, tmp_path):
+    """An unusable ``--out`` path fails before any graph is solved or any
+    report line printed; a missing corpus still fails first, and creates no
+    report file. A report written over its own corpus is written after the
+    whole corpus is read, as before."""
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("".join(emit_graph6(g) + "\n" for g in (path(5), cycle(5))))
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "verify", str(corpus), "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    report = tmp_path / "r.json"
+    code, out, err = run(capsys, "verify", "/nonexistent/corpus.g6", "--out", str(report))
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: '/nonexistent/corpus.g6'\n"
+    assert not report.exists()
+    code, out, _ = run(capsys, "verify", str(corpus), "--out", str(corpus))
+    assert (code, out.splitlines()[-1]) == (0, "verified 2 graphs, 0 failures, 0 skipped")
+    assert json.loads(corpus.read_text())["summary"]["graphs"] == 2
+
+
+def test_verify_writes_a_report_to_a_pipe(tmp_path):
+    """A report target that cannot seek, such as a pipe, is written as is."""
+    import isogame
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(emit_graph6(path(5)) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(isogame.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "isogame.cli", "verify", str(corpus), "--out", "/dev/stdout"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert '"summary": {\n    "graphs": 1,' in done.stdout
+
+
+@pytest.mark.parametrize("argv, cap, message", [
+    (("K100000",), None, "n=100000 exceeds the solver cap 20; "
+     "set ISOGAME_SOLVER_CAP to solve it anyway"),
+    (("P3+K100000",), None, "n=100003 exceeds the solver cap 20; "
+     "set ISOGAME_SOLVER_CAP to solve it anyway"),
+    (("--edge-list", "{big}"), None, "n=99999999999 exceeds the solver cap 20; "
+     "set ISOGAME_SOLVER_CAP to solve it anyway"),
+    (("K100000",), "1000000000", "n=100000 exceeds 500, half of Python's "
+     "recursion limit 1000; the search recurses once per move"),
+], ids=["shorthand", "union", "edge-list", "raised-cap"])
+def test_solve_refuses_an_order_over_the_cap_before_building(tmp_path, argv, cap,
+                                                             message):
+    """``solve`` compares the shorthand's or edge list's order with the cap
+    before building the graph, so in a child process limited to 512 MiB of
+    address space it exits 2 with the cap's message, not out of memory."""
+    import isogame
+    big = tmp_path / "big.txt"
+    big.write_text("99999999999\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(isogame.__file__).parents[1]))
+    if cap is not None:
+        env["ISOGAME_SOLVER_CAP"] = cap
+    probe = ("import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29)); "
+             "from isogame.cli import main; sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", probe, "solve", *(a.format(big=big) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "scan-conjecture", "cp-scan"])
 def test_corpus_commands_hold_one_parsed_graph_at_a_time(capsys, tmp_path,
                                                          monkeypatch, command):

@@ -19,8 +19,8 @@ from isogame.graph import Graph
 from isogame.graph6 import emit_graph6
 from isogame.lab import (CSV_COLUMNS, BoundReport, CorpusEntry, VerifyResult,
                          _has_edge_component, cp_scan, diam2_sample,
-                         load_graph6_corpus, report_to_dict, scan_conjecture,
-                         verify, write_csv_report, write_json_report)
+                         load_graph6_corpus, scan_conjecture, verify,
+                         write_csv_report, write_json_report)
 from isogame.solver import Solver, solve, solve_both
 
 
@@ -329,6 +329,37 @@ def corpus_slice(corpus_entries):
     """A seeded sample of corpus entries, in corpus order."""
     picked = sorted(random.Random(14).sample(range(len(corpus_entries)), 300))
     return [corpus_entries[i] for i in picked]
+
+
+def _fraction_to_dict(value):
+    return None if value is None else {"num": value.numerator, "den": value.denominator}
+
+
+def report_to_dict(report):
+    """A report as a plain object, the reference for the JSON writer's bytes."""
+    return {
+        "id": report.gid,
+        "n": report.n,
+        "m": report.m,
+        "delta": report.min_degree,
+        "Delta": report.max_degree,
+        "diam": None if report.diameter == float("inf") else int(report.diameter),
+        "igt": report.igt,
+        "igtS": report.igts,
+        "cp_gap": report.cp_gap,
+        "bounds": [
+            {
+                "name": check.name,
+                "target": check.target,
+                "applicable": check.applicable,
+                "value": _fraction_to_dict(check.value),
+                "strict": check.strict,
+                "pass": check.passed,
+                "slack": _fraction_to_dict(check.slack),
+            }
+            for check in report.checks
+        ],
+    }
 
 
 def _reference_json(result):

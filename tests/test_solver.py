@@ -16,7 +16,7 @@ from isogame.families import (complete, cycle, from_shorthand, path,
 from isogame import lab, strategies
 from isogame.graph import Graph, vertex_set, vertices_of
 from isogame.graph6 import parse_graph6
-from isogame.solver import (Solver, _automorphisms,
+from isogame.solver import (Solver, _automorphisms, _ending_moves,
                             _image_tables, _step, cp_gap, solve, solve_both,
                             solver_cap_from_env)
 
@@ -286,6 +286,80 @@ def test_step_matches_marked_set_along_random_playouts(spec):
             assert unmarked == marked_set(g, played).unmarked
             assert unmarked == g.full_mask & ~vertex_set(
                 oracles.marked_vertices(g, set(vertices_of(played))))
+
+
+def _reachable_unmarked_sets(g):
+    """Every non-empty unmarked set the game can reach, by stepping."""
+    seen, frontier = {g.full_mask}, [g.full_mask]
+    while frontier:
+        unmarked = frontier.pop()
+        for w in vertices_of(playable_from(g, unmarked)):
+            after = _step(g.adj, unmarked, w)
+            if after and after not in seen:
+                seen.add(after)
+                frontier.append(after)
+    return seen
+
+
+def _check_ending_moves(g, unmarked):
+    """``_ending_moves`` is the set of playable moves that step ``U`` to the
+    empty set, and it is non-empty exactly when the greedy gain reaches
+    ``|U|``, when it equals the greedy maximizers."""
+    ends = _ending_moves(g.adj, unmarked)
+    assert ends == vertex_set(w for w in vertices_of(playable_from(g, unmarked))
+                              if _step(g.adj, unmarked, w) == 0)
+    gain, maximizers = strategies._mark_gains(g, unmarked)
+    assert bool(ends) == (gain == unmarked.bit_count())
+    if ends:
+        assert ends == vertex_set(maximizers)
+
+
+def test_ending_moves_match_the_step_on_every_reachable_set(small_connected):
+    for g in small_connected:
+        for unmarked in _reachable_unmarked_sets(g):
+            _check_ending_moves(g, unmarked)
+
+
+def test_ending_moves_match_the_step_along_random_playouts():
+    g = random_connected(18, 0.2, 2, seed=26)
+    rng = random.Random(26)
+    for _ in range(40):
+        unmarked = g.full_mask
+        while unmarked:
+            _check_ending_moves(g, unmarked)
+            unmarked = _step(g.adj, unmarked,
+                             rng.choice(vertices_of(playable_from(g, unmarked))))
+
+
+def test_dominator_window_at_most_one_steps_no_child(small_connected, monkeypatch):
+    """Under the window ``(0, 2)`` a Dominator node with ``|U| >= 3`` asks
+    only whether one move ends the game: it steps no child, and its result
+    is the exact value 1 or a lower bound 2, as the oracle says. The forced
+    search with a free Dominator cuts the same way."""
+    stepped = []
+
+    def recording(adj, before, w):
+        stepped.append(w)
+        return _step(adj, before, w)
+
+    rng = random.Random(27)
+    for g in rng.sample(small_connected, 30):
+        reaching = _played_set_reaching(g)
+        monkeypatch.setattr("isogame.solver._step", recording)
+        results = {unmarked: Solver(g)._search(unmarked, True, 0, 2)
+                   for unmarked in reaching if unmarked.bit_count() >= 3}
+        forced = strategies.ForcedGameSolver(g, strategies.RandomStrategy(1),
+                                             Player.STALLER)
+        forced_root = forced.value(0, Player.DOMINATOR, 0, 2)
+        monkeypatch.setattr("isogame.solver._step", _step)
+        assert stepped == []
+        for unmarked, got in results.items():
+            exact = oracles.brute_solve_from(
+                g, set(vertices_of(reaching[unmarked])), Player.DOMINATOR)
+            assert got == min(exact, 2)
+        exact = oracles.brute_forced_value(g, strategies.RandomStrategy(1),
+                                           Player.STALLER)
+        assert forced_root == min(exact, 2)
 
 
 def test_c18_table_holds_one_entry_per_unmarked_state():

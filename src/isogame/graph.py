@@ -197,23 +197,6 @@ class Graph:
         return len(self.components) == 1
 
     @cached_property
-    def distances(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs BFS distances; unreachable pairs get -1."""
-        rows = []
-        for s in range(self._n):
-            dist = [-1] * self._n
-            for d, level in enumerate(self._levels(s)):
-                for w in iter_bits(level):
-                    dist[w] = d
-            rows.append(tuple(dist))
-        return tuple(rows)
-
-    def distance(self, u: int, v: int) -> int:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return self.distances[u][v]
-
-    @cached_property
     def diameter(self) -> float:
         """Maximum eccentricity; ``INFINITE_DIAMETER`` when disconnected.
 

@@ -7,7 +7,9 @@ played vertex left isolated after deleting the played neighborhood), and
 the solvers recurse without any memoization. None of it shares code with
 the bitmask engine, which is the point. :func:`brute_forced_value` hands
 a strategy the unmarked set that :func:`marked_vertices` derives, and
-judges its move by :func:`legal_moves`.
+judges its move by :func:`legal_moves`. :func:`distances` and
+:func:`distance` read the graph's breadth-first levels instead, which the
+tests check against a vertex-queue search.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .engine import Player
 from .errors import GraphDomainError, ProtocolViolationError, SolverCapError
-from .graph import Graph
+from .graph import Graph, iter_bits
 
 if TYPE_CHECKING:
     from .strategies import Strategy
@@ -154,6 +156,30 @@ def brute_forced_value(g: Graph, strategy: Strategy, fixed_role: Player,
 
     history = tuple(history)
     return value(history, first_mover if len(history) % 2 == 0 else first_mover.other)
+
+
+def distances(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """All-pairs distances read off the breadth-first levels that
+    ``Graph.components`` is built from; unreachable pairs get -1."""
+    rows = []
+    for s in range(g.n):
+        dist = [-1] * g.n
+        for d, level in enumerate(g._levels(s)):
+            for w in iter_bits(level):
+                dist[w] = d
+        rows.append(tuple(dist))
+    return tuple(rows)
+
+
+def distance(g: Graph, u: int, v: int) -> int:
+    """The distance from ``u`` to ``v`` by the levels from ``u``; -1 when
+    ``v`` is unreachable."""
+    g._check_vertex(u)
+    g._check_vertex(v)
+    for d, level in enumerate(g._levels(u)):
+        if level >> v & 1:
+            return d
+    return -1
 
 
 def _is_isolating(g: Graph, members: set[int]) -> bool:

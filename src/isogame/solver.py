@@ -16,21 +16,26 @@ that order.
 Three exact reductions keep the search small. Every legal move marks its
 unmarked witness, so a non-terminal value lies in ``[1, |U|]``: a window
 outside that bracket is cut off at once, the bracket is every state's
-default table entry, and no stored bound leaves it. Dominator's value is 1
-exactly when one move marks all of ``U``, so when the window, inside that
-bracket, asks only whether the value is at most 1, one pass over ``U``
-(:func:`_ending_moves`) settles it without stepping a child. And a graph
-automorphism maps a state to one of equal value, so table entries are
-shared per automorphism orbit of ``U`` (Allis 1994): on a graph of more
-than 8 vertices on which at least ``n`` automorphisms are found (the search
-stops at ``2n``), the table keys on the least image of ``U`` under them.
-Each :class:`Solver` memoizes that key in a dict freed with it, one entry
-per distinct ``U`` the search keys. When those automorphisms form the whole
-group, as a cycle's ``2n`` rotations and reflections do, one entry serves
-the whole orbit. When they are not closed under composition (on Petersen
-and Q4, say), two images of ``U`` may still get different keys, so an orbit
-can fill several entries; since every image is automorphic to ``U``, an
-entry never serves a state of another value.
+default table entry, and no stored bound leaves it. When the window,
+inside that bracket, asks only whether the value is at most 1, a node
+settles it without stepping a child: Dominator's value is 1 exactly when
+one move marks all of ``U``, which one pass over ``U``
+(:func:`_ending_moves`) decides, and Staller's is never 1 when ``|U| >= 2``
+(see :class:`Solver`). And a graph automorphism maps a state to one
+of equal value, so table entries are shared per automorphism orbit of
+``U`` (Allis 1994): on a graph of 9 to 64 vertices on which at least ``n``
+automorphisms are found (the search stops at ``2n``), the table keys on
+the least image of ``U`` under them. Per 8-bit chunk of ``U``, a table
+packs each chunk value's images into one int, one 64-bit field per
+automorphism, so the images of ``U`` are the fields of the OR of its
+chunks' rows, and the key is the least field. Each :class:`Solver`
+memoizes that key in a dict freed with it, one entry per distinct ``U``
+the search keys. When those automorphisms form the whole group, as a
+cycle's ``2n`` rotations and reflections do, one entry serves the whole
+orbit. When they are not closed under composition (on Petersen and Q4,
+say), two images of ``U`` may still get different keys, so an orbit can
+fill several entries; since every image is automorphic to ``U``, an entry
+never serves a state of another value.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from operator import or_
 
 from .engine import Player, check_game_domain, marked_set, playable_from
 from .errors import GameStateError, SolverCapError
@@ -245,17 +249,19 @@ def _automorphisms(g: Graph, limit: int) -> list[tuple[int, ...]]:
 
 
 def _image_tables(autos: list[tuple[int, ...]], n: int
-                  ) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per 8-bit chunk of a vertex set, each chunk value's images under
-    ``autos``; an image of a set is the OR of its chunks' images."""
-    images_of = [tuple(1 << sigma[v] for sigma in autos) for v in range(n)]
+                  ) -> tuple[tuple[int, ...], ...]:
+    """Per 8-bit chunk of a vertex set of at most 64 vertices, each chunk
+    value's images under ``autos`` packed into one int: the image under
+    ``autos[i]`` is its field of bits ``64 i`` to ``64 i + 63``. An image
+    of a set is that field of the OR of its chunks' rows."""
+    packed_bit = [sum(1 << (64 * i + sigma[v]) for i, sigma in enumerate(autos))
+                  for v in range(n)]
     tables = []
     for base in range(0, n, 8):
-        rows: list[tuple[int, ...]] = [(0,) * len(autos)]
+        rows = [0]
         for value in range(1, 1 << min(8, n - base)):
             low = value & -value
-            bit = base + low.bit_length() - 1
-            rows.append(tuple(map(or_, rows[value ^ low], images_of[bit])))
+            rows.append(rows[value ^ low] | packed_bit[base + low.bit_length() - 1])
         tables.append(tuple(rows))
     return tuple(tables)
 
@@ -273,23 +279,33 @@ class Solver:
     two-bound entries of MTD(f), Plaat et al. 1996). The key is
     the unmarked set itself, or the least image of it under up to ``2n``
     automorphisms found in ``__init__``, so that entries are shared per
-    automorphism orbit. The orbit key is kept only when ``n > 8`` (below
-    that, one 8-bit chunk table of images already holds as many entries as
-    the state space) and at least ``n`` automorphisms were found (a smaller
-    group saves too few entries to repay the key). The orbit key is memoized
-    per ``Solver``, in a dict that holds one entry per distinct ``U`` the
+    automorphism orbit. The orbit key is kept only when ``8 < n <= 64``
+    (below 9, one 8-bit chunk table of images already holds as many entries
+    as the state space; above 64, an image no longer fits the 64-bit field
+    it is packed in) and at least ``n`` automorphisms were found (a smaller
+    group saves too few entries to repay the key). Each row of a chunk table
+    is one int whose field of bits ``64 i`` to ``64 i + 63`` is the chunk
+    value's image under the ``i``-th automorphism, so a key costs one OR per
+    chunk and one ``min`` over the fields. The orbit key is memoized per
+    ``Solver``, in a dict that holds one entry per distinct ``U`` the
     search keys and is freed with the solver. Before the table is probed, a
     non-terminal state whose bracket ``[1, |U|]`` lies outside the window
     returns the nearer end, ``|U|`` when ``|U| <= alpha`` or 1 when
     ``beta <= 1``, and one with ``|U| == 1`` returns its value 1; these
     store nothing, and the default entry could settle no other probe, so
     :attr:`stats` counts as hits only probes that a stored entry settled.
-    After the probe, a Dominator node whose window, narrowed by its entry,
-    has ``beta <= 2`` (every node with ``|U| == 2`` among them) returns 1
-    when :func:`_ending_moves` finds a move marking all of ``U`` and the
-    lower bound 2 otherwise, and stores it like a searched result; its
-    children would say no more. The public methods take a played set and
-    convert it to its unmarked set once, through ``cache``.
+    After the probe, a node whose window, narrowed by its entry, has
+    ``beta <= 2`` (every node with ``|U| == 2`` among them) is a leaf: it
+    returns 1 or the lower bound 2 and stores it like a searched result,
+    since its children would say no more. A Dominator leaf returns 1 when
+    :func:`_ending_moves` finds a move marking all of ``U``. A Staller leaf
+    returns 2, for with ``|U| >= 2`` some Staller move leaves ``U``
+    non-empty: a playable vertex of ``U`` stays unmarked when played, and
+    if ``U`` holds no edge, its vertices are played ones not yet covered,
+    two of which differ in their neighbors (the later was playable after
+    the earlier marked its neighbors), so a neighbor of one of them misses
+    the other. The public methods take a played set and convert it to its
+    unmarked set once, through ``cache``.
 
     Alpha-beta cuts the most when the best child comes first, so a node
     tries its playable vertices ``v`` by ``|U & N(v)|``, the unmarked
@@ -298,7 +314,9 @@ class Solver:
     by lowest index. Each child's sort key is the int ``|U & N(v)| << s |
     v``, with ``s = n.bit_length()`` and the index bits of ``v`` flipped for
     Dominator, so one in-place sort, descending for Dominator, gives that
-    order. Each child is stepped only when it is visited.
+    order. The codes come from one pass over the adjacency, keeping the
+    vertices with an unmarked neighbor, and each child is stepped only when
+    it is visited.
 
     :meth:`at_most` answers a yes/no question about the value with one
     null-window search (the test of MTD(f), Plaat et al. 1996): the window
@@ -318,10 +336,10 @@ class Solver:
     last, alpha, beta)``, the moves left after the free side played
     ``last``; ``_search`` and ``_best_move`` then take it as each child's
     value, less the move just made, and the table holds free-side states
-    only, never keyed on an orbit. The one-pass cut holds there too: a
-    forced reply is 0 on an empty ``U``, and 1 under ``beta <= 1`` before
-    its strategy is asked. ``_key_of``, when set, maps ``U`` to the table's
-    key in place of ``U``.
+    only, never keyed on an orbit. The leaves hold there too, for either
+    free side: a forced reply is 0 on an empty ``U``, and 1 under ``beta <=
+    1`` before its strategy is asked. ``_key_of``, when set, maps ``U`` to
+    the table's key in place of ``U``.
     """
 
     _forced_reply = None
@@ -336,8 +354,10 @@ class Solver:
         self._shift = g.n.bit_length()
         self._adj = g.adj
         # A forced strategy breaks ties by index, which an automorphism does not preserve.
-        autos = _automorphisms(g, 2 * g.n) if g.n > 8 and self._forced_reply is None else []
+        autos = (_automorphisms(g, 2 * g.n)
+                 if 8 < g.n <= 64 and self._forced_reply is None else [])
         self._images = _image_tables(autos, g.n) if len(autos) >= g.n else None
+        self._packed_bytes = 8 * len(autos)
         self._key_of = None if self._images is None else self._canonical
 
     @property
@@ -387,22 +407,18 @@ class Solver:
             beta = high
         alpha_in, beta_in = alpha, beta
         adj = self._adj
-        if dom and beta <= 2:
-            # The window asks only whether one move ends the game.
-            best = 1 if _ending_moves(adj, unmarked) else 2
+        if beta <= 2:
+            # The window asks only whether the value is 1: whether one move
+            # ends the game for Dominator, and never for Staller at |U| >= 2.
+            best = 1 if dom and _ending_moves(adj, unmarked) else 2
         else:
             search = self._search
             forced = self._forced_reply
             shift = self._shift
             mask = (1 << shift) - 1
             flip = mask if dom else 0
-            codes = []
-            playable = playable_from(self.graph, unmarked)
-            while playable:
-                bit = playable & -playable
-                w = bit.bit_length() - 1
-                codes.append((unmarked & adj[w]).bit_count() << shift | (w ^ flip))
-                playable ^= bit
+            codes = [marks.bit_count() << shift | (w ^ flip)
+                     for w, near in enumerate(adj) if (marks := near & unmarked)]
             codes.sort(reverse=dom)
             best = _UNBOUNDED if dom else 0
             other = not dom
@@ -431,15 +447,17 @@ class Solver:
         return best
 
     def _canonical(self, unmarked: int) -> int:
-        """Least image of ``unmarked`` under the automorphisms kept,
-        computed once per distinct ``unmarked`` and memoized."""
+        """Least image of ``unmarked`` under the automorphisms kept: the
+        least 64-bit field of the OR of its chunks' packed rows, computed
+        once per distinct ``unmarked`` and memoized."""
         key = self._keys.get(unmarked)
         if key is None:
             tables = self._images
-            images = tables[0][unmarked & 255]
+            packed = tables[0][unmarked & 255]
             for shift in range(8, self.graph.n, 8):
-                images = map(or_, images, tables[shift >> 3][unmarked >> shift & 255])
-            key = self._keys[unmarked] = min(images)
+                packed |= tables[shift >> 3][unmarked >> shift & 255]
+            key = self._keys[unmarked] = min(memoryview(
+                packed.to_bytes(self._packed_bytes, sys.byteorder)).cast("Q"))
         return key
 
     def _best_move(self, unmarked: int, dom: bool) -> int:

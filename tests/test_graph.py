@@ -6,6 +6,7 @@ from collections import deque
 
 import pytest
 
+from isogame import oracles
 from isogame.errors import GraphDomainError
 from isogame.families import complete, cycle, disjoint_union, path, random_connected
 from isogame.graph import (INFINITE_DIAMETER, Graph, closed_neighborhood,
@@ -165,7 +166,7 @@ def test_handshake_and_symmetry_on_random_graphs():
 
 def test_distance_matrix_agrees_with_diameter():
     c6 = cycle(6)
-    assert c6.distance(0, 3) == 3
+    assert oracles.distance(c6, 0, 3) == 3
     assert c6.diameter == 3
 
 
@@ -190,7 +191,7 @@ def _queue_bfs_distances(g):
 def _assert_levels_match_queue_bfs(g):
     rows = _queue_bfs_distances(g)
     assert g.diameter == max(max(row) for row in rows)
-    assert g.distances == rows
+    assert oracles.distances(g) == rows
 
 
 def test_bitset_levels_match_a_queue_bfs_on_the_corpus(corpus_graphs):
@@ -206,7 +207,7 @@ def test_bitset_levels_match_a_queue_bfs_on_paths_cycles_and_k1():
         _assert_levels_match_queue_bfs(cycle(n))
         assert cycle(n).diameter == n // 2
     k1 = Graph(1, [])
-    assert k1.diameter == 0.0 and k1.distances == ((0,),)
+    assert k1.diameter == 0.0 and oracles.distances(k1) == ((0,),)
     _assert_levels_match_queue_bfs(complete(2))
 
 
@@ -216,9 +217,9 @@ def test_unions_keep_the_infinite_diameter_and_unreachable_distances():
         g = disjoint_union(parts)
         assert g.diameter == INFINITE_DIAMETER
         assert not isinstance(g.diameter, int)
-        assert g.distances == _queue_bfs_distances(g)
+        assert oracles.distances(g) == _queue_bfs_distances(g)
         first, last = 0, g.n - 1
-        assert g.distance(first, last) == -1
+        assert oracles.distance(g, first, last) == -1
 
 
 def test_induced_subgraph_keeps_structure():

@@ -362,6 +362,70 @@ def test_dominator_window_at_most_one_steps_no_child(small_connected, monkeypatc
         assert forced_root == min(exact, 2)
 
 
+def test_staller_window_at_most_one_steps_no_child(small_connected, monkeypatch):
+    """Under the window ``(0, 2)`` a Staller node with ``|U| >= 3`` asks
+    only whether every move ends the game: it steps no child, and its
+    result is the exact value 1 or a lower bound 2, as the oracle says. The
+    forced search with a free Staller cuts the same way."""
+    stepped = []
+
+    def recording(adj, before, w):
+        stepped.append(w)
+        return _step(adj, before, w)
+
+    rng = random.Random(28)
+    for g in rng.sample(small_connected, 30):
+        reaching = _played_set_reaching(g)
+        monkeypatch.setattr("isogame.solver._step", recording)
+        results = {unmarked: Solver(g)._search(unmarked, False, 0, 2)
+                   for unmarked in reaching if unmarked.bit_count() >= 3}
+        forced = strategies.ForcedGameSolver(g, strategies.GreedyDominator(),
+                                             Player.DOMINATOR)
+        forced_root = forced.value(0, Player.STALLER, 0, 2)
+        monkeypatch.setattr("isogame.solver._step", _step)
+        assert stepped == []
+        for unmarked, got in results.items():
+            exact = oracles.brute_solve_from(
+                g, set(vertices_of(reaching[unmarked])), Player.STALLER)
+            assert got == min(exact, 2)
+        exact = oracles.brute_forced_value(g, strategies.GreedyDominator(),
+                                           Player.DOMINATOR, Player.STALLER)
+        assert forced_root == min(exact, 2)
+
+
+def _every_move_ends(g, unmarked):
+    return all(_step(g.adj, unmarked, w) == 0
+               for w in vertices_of(playable_from(g, unmarked)))
+
+
+def test_no_move_empties_two_or_more_so_the_staller_leaf_is_two(small_connected):
+    """At every reachable set with ``|U| >= 2``, some playable vertex leaves
+    ``U`` non-empty when stepped, so Staller's value there is at least 2 and
+    the leaf answers the lower bound 2 without a pass, in ``Solver`` and in
+    the forced search with greedy forcing Dominator. The reason: a playable
+    vertex of ``U`` stays unmarked when played, and two played vertices left
+    in ``U`` differ in their neighbors, since the second was playable after
+    the first was played. The same holds along random playouts of a larger
+    graph."""
+    for g in small_connected:
+        solver = Solver(g)
+        forced = strategies.ForcedGameSolver(g, strategies.GreedyDominator(),
+                                             Player.DOMINATOR)
+        for unmarked in _reachable_unmarked_sets(g):
+            if unmarked.bit_count() >= 2:
+                assert not _every_move_ends(g, unmarked)
+                assert solver._search(unmarked, False, 0, 2) == 2
+                assert forced._search(unmarked, False, 0, 2) == 2
+    g = random_connected(18, 0.2, 2, seed=28)
+    rng = random.Random(28)
+    for _ in range(40):
+        unmarked = g.full_mask
+        while unmarked.bit_count() >= 2:
+            assert not _every_move_ends(g, unmarked)
+            unmarked = _step(g.adj, unmarked,
+                             rng.choice(vertices_of(playable_from(g, unmarked))))
+
+
 def test_c18_table_holds_one_entry_per_unmarked_state():
     """Played sets that reach the same unmarked set share an entry, and so
     do rotations and reflections of it: C18's two starts fill 159530
@@ -445,6 +509,13 @@ def _image(sigma, mask):
     return vertex_set(sigma[v] for v in vertices_of(mask))
 
 
+def _fields(row, count):
+    """The ``count`` 64-bit fields of a packed row of image tables, which
+    holds no bit beyond them."""
+    assert row >> 64 * count == 0
+    return [row >> 64 * i & (1 << 64) - 1 for i in range(count)]
+
+
 def _replays_under_the_oracle(g, moves):
     played = set()
     for v in moves:
@@ -509,8 +580,8 @@ def test_canonical_key_is_invariant_under_the_automorphisms_found(name):
 
 @pytest.mark.parametrize("name", ["C9", "C10", "C11", "C12", "Petersen", "Q4"])
 def test_image_tables_hold_each_chunk_value_image(name):
-    """Row ``value`` of the chunk at ``base`` holds, per automorphism, the
-    image of the set ``value << base``."""
+    """Row ``value`` of the chunk at ``base`` holds, in its 64-bit field
+    ``i``, the image of the set ``value << base`` under ``autos[i]``."""
     g = SYMMETRIC[name]
     autos = _automorphisms(g, 2 * g.n)
     tables = _image_tables(autos, g.n)
@@ -519,7 +590,8 @@ def test_image_tables_hold_each_chunk_value_image(name):
         base = 8 * chunk
         assert len(rows) == 1 << min(8, g.n - base)
         for value, row in enumerate(rows):
-            assert row == tuple(_image(sigma, value << base) for sigma in autos)
+            assert _fields(row, len(autos)) == [
+                _image(sigma, value << base) for sigma in autos]
 
 
 def test_symmetry_is_kept_past_8_vertices_with_n_automorphisms(corpus_graphs):
@@ -534,13 +606,29 @@ def test_symmetry_is_kept_past_8_vertices_with_n_automorphisms(corpus_graphs):
         g = parse_graph6(text)
         assert g.n > 8 and Solver(g)._images is None
     for n in range(9, 21):
-        assert len(Solver(cycle(n))._images[0][0]) == 2 * n
+        rows = Solver(cycle(n))._images[0]
+        assert all(row >> 64 * 2 * n == 0 for row in rows)
+        assert all(_fields(rows[1], 2 * n))
     paley = _paley17()
     autos = _automorphisms(paley, 10 ** 6)
     assert len(set(autos)) == 136
     edges = {frozenset(e) for e in paley.edges}
     assert all({frozenset((s[u], s[v])) for u, v in paley.edges} == edges
                for s in autos)
+
+
+def test_orbit_key_stops_at_64_vertices(monkeypatch):
+    """An image fills one 64-bit field, so the orbit key is kept up to 64
+    vertices, where the top field's top bit is in use, and not past them."""
+    monkeypatch.setenv("ISOGAME_SOLVER_CAP", "65")
+    assert Solver(cycle(65))._images is None
+    g = cycle(64)
+    solver = Solver(g)
+    autos = _automorphisms(g, 2 * g.n)
+    assert solver._images is not None and len(autos) == 128
+    for unmarked in (1 << 63, g.full_mask ^ 1, 0b1011 << 60 | 1):
+        assert solver._canonical(unmarked) == min(_image(sigma, unmarked)
+                                                  for sigma in autos)
 
 
 @pytest.mark.parametrize("name", ["C9", "C10", "Petersen"])

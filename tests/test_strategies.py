@@ -155,7 +155,7 @@ def test_extremal_c6_distance_three():
                 continue
             for last in iter_bits(comp):
                 state = new_game(g).play(last)
-                (want,) = [v for v in range(g.n) if g.distance(last, v) == 3]
+                (want,) = [v for v in range(g.n) if oracles.distance(g, last, v) == 3]
                 assert staller.choose(g, state.unmarked(), Player.STALLER, last,
                                       state.played) == want, (g.edges, last)
                 replies += 1

@@ -8,9 +8,8 @@ filter and the report columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import UnknownBoundError
 from .graph import INFINITE_DIAMETER, Graph
@@ -20,8 +19,7 @@ TARGET_SGAME = "igtS"
 TARGET_BOTH = "both"
 
 
-@dataclass(frozen=True)
-class GraphFacts:
+class GraphFacts(NamedTuple):
     """The structural inputs every bound is a function of."""
     n: int
     m: int
@@ -38,8 +36,7 @@ class GraphFacts:
                    diameter=diameter, connected=diameter != INFINITE_DIAMETER)
 
 
-@dataclass(frozen=True)
-class BoundSpec:
+class BoundSpec(NamedTuple):
     """One inequality: value(facts) bounds the targeted game value(s)."""
     name: str
     description: str
@@ -54,8 +51,7 @@ class BoundSpec:
         return (self.target,)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """Evaluation of one bound on one graph."""
     name: str
     target: str

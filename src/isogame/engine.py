@@ -9,7 +9,6 @@ not on move order, which is what makes transposition-table solving sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -100,8 +99,7 @@ def is_total_isolating_set(g: Graph, members: int) -> bool:
     return all(g.adj[v] & members for v in iter_bits(members))
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(NamedTuple):
     """One game position: the graph, the played set, and who moved first.
 
     Immutable; :meth:`play` returns a new state. The mover is derived from

@@ -10,7 +10,7 @@ import random
 import re
 
 from .errors import GenerationError, GraphDomainError
-from .graph import Graph
+from .graph import ORDER_LIMIT, Graph
 
 RANDOM_RETRY_CAP = 10_000
 
@@ -69,6 +69,7 @@ def random_connected(n: int, p: float, min_degree: int = 1,
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     """One G(n, p) sample, no connectivity retry."""
+    _check_buildable(n)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph(n, edges)
 
@@ -84,7 +85,13 @@ def _terms(text: str) -> list[tuple[str, int]]:
         if match is None:
             raise GraphDomainError(
                 f"bad family term {term!r}; expected P<k>, C<k>, or K<k>")
-        terms.append((match.group(1).upper(), int(match.group(2))))
+        digits = match.group(2)
+        try:
+            k = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise GraphDomainError(f"a term's order of {len(digits)} digits "
+                                   f"exceeds the order limit {ORDER_LIMIT}") from None
+        terms.append((match.group(1).upper(), k))
     return terms
 
 
@@ -93,8 +100,16 @@ def shorthand_order(text: str) -> int:
     return sum(k for _, k in _terms(text))
 
 
+def _check_buildable(n: int) -> None:
+    if n > ORDER_LIMIT:
+        raise GraphDomainError(f"n={n} exceeds the order limit {ORDER_LIMIT}")
+
+
 def from_shorthand(text: str) -> Graph:
-    """Build a graph from family shorthand like ``P5`` or ``P3+C6``."""
+    """Build a graph from family shorthand like ``P5`` or ``P3+C6``, of at
+    most ``ORDER_LIMIT`` vertices in all."""
+    terms = _terms(text)
+    _check_buildable(sum(k for _, k in terms))
     builders = {"P": path, "C": cycle, "K": complete}
-    parts = [builders[kind](k) for kind, k in _terms(text)]
+    parts = [builders[kind](k) for kind, k in terms]
     return parts[0] if len(parts) == 1 else disjoint_union(parts)

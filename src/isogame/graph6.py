@@ -15,7 +15,7 @@ Edge-list files are ``n`` on the first line followed by ``u v`` pairs with
 from __future__ import annotations
 
 from .errors import GraphFormatError
-from .graph import Graph
+from .graph import ORDER_LIMIT, Graph
 
 _MAX_SHORT_N = 62
 
@@ -107,8 +107,12 @@ def edge_list_order(text: str) -> int:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Decode the ``n`` + ``u v`` lines edge-list format."""
+    """Decode the ``n`` + ``u v`` lines edge-list format, for ``n`` up to
+    ``ORDER_LIMIT``."""
     n = edge_list_order(text)
+    if n > ORDER_LIMIT:
+        raise GraphFormatError(
+            f"vertex count {n} exceeds the order limit {ORDER_LIMIT}")
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     edges = []
     for lineno, line in enumerate(lines[1:], start=2):

@@ -15,7 +15,6 @@ import itertools
 import json
 import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, TextIO
@@ -74,8 +73,7 @@ def _solvable(entries: Iterable[CorpusEntry],
         yield entry.gid, entry.graph
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Solved values and bound evaluations for a single graph."""
     gid: str
     n: int
@@ -104,10 +102,14 @@ def _solve_graph(item: tuple[str, Graph]) -> tuple[str, GraphFacts, int, int]:
     return gid, GraphFacts.of(g), igt, igts
 
 
-@dataclass
 class VerifyResult:
-    reports: list[BoundReport]
-    skipped: list[tuple[str, str]]
+    """The reports of a ``verify`` run in input order, and its skipped
+    entries as ``(gid, reason)``."""
+
+    def __init__(self, reports: list[BoundReport],
+                 skipped: list[tuple[str, str]]):
+        self.reports = reports
+        self.skipped = skipped
 
     @cached_property
     def failures(self) -> int:
@@ -166,8 +168,7 @@ def verify(entries: Iterable[CorpusEntry], bound_names: tuple[str, ...] | None =
     return VerifyResult(reports=reports, skipped=skipped)
 
 
-@dataclass
-class ConjectureScan:
+class ConjectureScan(NamedTuple):
     """Search for graphs beating two thirds of their order in the D-game."""
     counterexamples: list[tuple[str, int, int]]  # (gid, n, igt)
     checked: int
@@ -214,8 +215,7 @@ def scan_conjecture(entries: Iterable[CorpusEntry]) -> ConjectureScan:
                           skipped=skipped)
 
 
-@dataclass
-class GapScan:
+class GapScan(NamedTuple):
     histogram: dict[int, int]
     witnesses: list[tuple[str, int]]  # graphs attaining the max |gap|
     skipped: list[tuple[str, str]]
@@ -245,8 +245,7 @@ def cp_scan(entries: Iterable[CorpusEntry]) -> GapScan:
     return GapScan(histogram=histogram, witnesses=witnesses, skipped=skipped)
 
 
-@dataclass
-class Diameter2Summary:
+class Diameter2Summary(NamedTuple):
     trials: int
     diameter2_count: int
     connected_count: int
@@ -373,7 +372,7 @@ def write_json_report(result: VerifyResult, stream: TextIO) -> None:
     newline. Each report is written as one string from templates; each
     distinct ``checks`` tuple's ``"bounds"`` array is encoded once per call,
     and strings go through ``json.dumps``, so non-ASCII text is escaped as
-    before.
+    ``json.dump`` escapes it.
     """
     bounds: dict[int, str] = {}  # id of a checks tuple -> its encoded array
 

@@ -3,48 +3,21 @@
 The game's future depends only on the unmarked set ``U``: the playable
 vertices are the neighbors of ``U``, the game ends when ``U`` is empty, and
 playing ``w`` gives the next ``U`` from ``U`` and ``w`` alone (see
-:func:`_step`). So legal moves and the remaining move count are functions
-of (``U``, mover), and every played set that reaches the same ``U`` shares
-one table entry. Dominator minimizes and Staller maximizes the number of
-moves in the completed game. The search tries a mover's children in the
-order of the unmarked neighbors each move marks, Dominator's most first
-and Staller's fewest first, ties by lowest index, sorted on one integer per
-child; :meth:`Solver.best_move` and principal variations take the
-lowest-index optimal move, so they are reproducible and do not depend on
-that order.
-
-Three exact reductions keep the search small. Every legal move marks its
-unmarked witness, so a non-terminal value lies in ``[1, |U|]``: a window
-outside that bracket is cut off at once, the bracket is every state's
-default table entry, and no stored bound leaves it. When the window,
-inside that bracket, asks only whether the value is at most 1, a node
-settles it without stepping a child: Dominator's value is 1 exactly when
-one move marks all of ``U``, which one pass over ``U``
-(:func:`_ending_moves`) decides, and Staller's is never 1 when ``|U| >= 2``
-(see :class:`Solver`). And a graph automorphism maps a state to one
-of equal value, so table entries are shared per automorphism orbit of
-``U`` (Allis 1994): on a graph of 9 to 64 vertices on which at least ``n``
-automorphisms are found (the search stops at ``2n``), the table keys on
-the least image of ``U`` under them. Per 8-bit chunk of ``U``, a table
-packs each chunk value's images into one int, one 64-bit field per
-automorphism, so the images of ``U`` are the fields of the OR of its
-chunks' rows, and the key is the least field. Each :class:`Solver`
-memoizes that key in a dict freed with it, one entry per distinct ``U``
-the search keys. When those automorphisms form the whole group, as a
-cycle's ``2n`` rotations and reflections do, one entry serves the whole
-orbit. When they are not closed under composition (on Petersen and Q4,
-say), two images of ``U`` may still get different keys, so an orbit can
-fill several entries; since every image is automorphic to ``U``, an entry
-never serves a state of another value.
+:func:`_step`). Dominator minimizes and Staller maximizes the number of
+moves in the completed game. :class:`Solver` holds the search: its move
+order, its table of bounds and the reductions that keep it small.
+:meth:`Solver.best_move` and principal variations take the lowest-index
+optimal move, so they are reproducible and do not depend on the order in
+which the search tries moves.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .engine import Player, check_game_domain, marked_set, playable_from
+from .engine import Player, check_game_domain, marked_set
 from .errors import GameStateError, SolverCapError
 from .graph import Graph, iter_bits, vertex_set
 
@@ -73,15 +46,13 @@ def solver_cap_from_env() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class GameValue:
+class GameValue(NamedTuple):
     """Optimal game length and a deterministic line achieving it."""
     total_moves: int
     principal_variation: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TableStats:
+class TableStats(NamedTuple):
     """Transposition-table entries, and probes the table settled."""
     states: int
     hits: int
@@ -91,7 +62,7 @@ class StateCache:
     """The unmarked set of each played set, for one graph.
 
     A plain memo owned by the solve or simulation that creates it, so its
-    marks are freed together with that owner. Its remaining users are the
+    marks are freed together with that owner. Its users are the
     played-set boundary of :class:`Solver` (``value``, ``best_move`` and
     ``game_value``, and the forced solver's ``value_from`` and
     ``free_side_move``) and :func:`strategies.simulate`; the searches
@@ -272,40 +243,44 @@ class Solver:
     The search runs on (unmarked set, mover) states. One table serves both
     starts: entries are keyed by ``key << 1 | dominator_to_move`` and hold
     bounds ``1 <= low <= high <= |U|`` on the value, exact when ``low ==
-    high``. A state with no entry reads the bracket ``(1, |U|)`` as its
-    entry, and each store intersects the bound the search found with the
-    entry it read, so a value found under a cut window is never read back
-    as exact and a bound once known is kept (Knuth & Moore 1975; the
-    two-bound entries of MTD(f), Plaat et al. 1996). The key is
-    the unmarked set itself, or the least image of it under up to ``2n``
-    automorphisms found in ``__init__``, so that entries are shared per
-    automorphism orbit. The orbit key is kept only when ``8 < n <= 64``
-    (below 9, one 8-bit chunk table of images already holds as many entries
-    as the state space; above 64, an image no longer fits the 64-bit field
-    it is packed in) and at least ``n`` automorphisms were found (a smaller
-    group saves too few entries to repay the key). Each row of a chunk table
-    is one int whose field of bits ``64 i`` to ``64 i + 63`` is the chunk
+    high``. Every legal move marks its unmarked witness, so a non-terminal
+    value lies in ``[1, |U|]``: a state with no entry reads that bracket as
+    its entry, and each store intersects the bound the search found with the
+    entry it read, so a value found under a cut window is never read back as
+    exact and a bound once known is kept (Knuth & Moore 1975; the two-bound
+    entries of MTD(f), Plaat et al. 1996). The key is the unmarked set
+    itself, or the least image of it under up to ``2n`` automorphisms found
+    in ``__init__``, so that entries are shared per automorphism orbit
+    (Allis 1994). The orbit key is kept only when ``8 < n <= 64`` (below 9,
+    one 8-bit chunk table of images already holds as many entries as the
+    state space; above 64, an image does not fit the 64-bit field it is
+    packed in) and at least ``n`` automorphisms were found (a smaller group
+    saves too few entries to repay the key). Each row of a chunk table is
+    one int whose field of bits ``64 i`` to ``64 i + 63`` is the chunk
     value's image under the ``i``-th automorphism, so a key costs one OR per
     chunk and one ``min`` over the fields. The orbit key is memoized per
-    ``Solver``, in a dict that holds one entry per distinct ``U`` the
-    search keys and is freed with the solver. Before the table is probed, a
-    non-terminal state whose bracket ``[1, |U|]`` lies outside the window
-    returns the nearer end, ``|U|`` when ``|U| <= alpha`` or 1 when
-    ``beta <= 1``, and one with ``|U| == 1`` returns its value 1; these
-    store nothing, and the default entry could settle no other probe, so
-    :attr:`stats` counts as hits only probes that a stored entry settled.
-    After the probe, a node whose window, narrowed by its entry, has
-    ``beta <= 2`` (every node with ``|U| == 2`` among them) is a leaf: it
-    returns 1 or the lower bound 2 and stores it like a searched result,
-    since its children would say no more. A Dominator leaf returns 1 when
-    :func:`_ending_moves` finds a move marking all of ``U``. A Staller leaf
-    returns 2, for with ``|U| >= 2`` some Staller move leaves ``U``
-    non-empty: a playable vertex of ``U`` stays unmarked when played, and
-    if ``U`` holds no edge, its vertices are played ones not yet covered,
-    two of which differ in their neighbors (the later was playable after
-    the earlier marked its neighbors), so a neighbor of one of them misses
-    the other. The public methods take a played set and convert it to its
-    unmarked set once, through ``cache``.
+    ``Solver``, in a dict that holds one entry per distinct ``U`` the search
+    keys and is freed with the solver. When the automorphisms kept are not
+    closed under composition (on Petersen and Q4, say), two images of ``U``
+    may get different keys, so an orbit can fill several entries; since
+    every image is automorphic to ``U``, an entry never serves a state of
+    another value. Before the table is probed, a non-terminal state whose
+    bracket ``[1, |U|]`` lies outside the window returns the nearer end,
+    ``|U|`` when ``|U| <= alpha`` or 1 when ``beta <= 1``, and one with
+    ``|U| == 1`` returns its value 1; these store nothing, and the default
+    entry could settle no other probe, so :attr:`stats` counts as hits only
+    probes that a stored entry settled. After the probe, a node whose
+    window, narrowed by its entry, has ``beta <= 2`` (every node with ``|U|
+    == 2`` among them) is a leaf: it returns 1 or the lower bound 2 and
+    stores it like a searched result, since its children would say no more.
+    A Dominator leaf returns 1 when :func:`_ending_moves` finds a move
+    marking all of ``U``. A Staller leaf returns 2, for with ``|U| >= 2``
+    some Staller move leaves ``U`` non-empty: a playable vertex of ``U``
+    stays unmarked when played, and if ``U`` holds no edge, its vertices are
+    played ones not yet covered, two of which differ in their neighbors (the
+    later was playable after the earlier marked its neighbors), so a
+    neighbor of one of them misses the other. The public methods take a
+    played set and convert it to its unmarked set once, through ``cache``.
 
     Alpha-beta cuts the most when the best child comes first, so a node
     tries its playable vertices ``v`` by ``|U & N(v)|``, the unmarked
@@ -463,13 +438,15 @@ class Solver:
     def _best_move(self, unmarked: int, dom: bool) -> int:
         if not unmarked:
             raise GameStateError("no optimal move in a terminal state")
-        adj = self.graph.adj
+        adj = self._adj
         forced = self._forced_reply
         # A child attains the value iff it is worth ``need``, and every
         # child lies on one side of it, so a null window settles each.
         need = self._search(unmarked, dom) - 1
         alpha, beta = (need, need + 1) if dom else (need - 1, need)
-        for v in iter_bits(playable_from(self.graph, unmarked)):
+        for v, near in enumerate(adj):
+            if not near & unmarked:
+                continue
             after = _step(adj, unmarked, v)
             if forced is None:
                 child = self._search(after, not dom, alpha, beta)

@@ -13,7 +13,7 @@ exactly one; Staller inherits the stage of Dominator's previous move.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import (GameState, Player, check_game_domain, marked_set,
                      playable_from)
@@ -269,8 +269,7 @@ class ExtremalStaller(Strategy):
 
 # -- simulation and traces ---------------------------------------------------
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     vertex: int
     mover: Player
     new_marks: int
@@ -278,8 +277,7 @@ class MoveRecord:
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class GameTrace:
+class GameTrace(NamedTuple):
     graph: Graph
     first_mover: Player
     moves: tuple[MoveRecord, ...]
@@ -321,8 +319,7 @@ def simulate(g: Graph, dominator: Strategy, staller: Strategy,
 
 # -- stage snapshot ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class StageSnapshot:
+class StageSnapshot(NamedTuple):
     """State at the burst/trickle boundary of a greedy-Dominator game.
 
     ``remote`` holds the vertices at distance at least 2 from every

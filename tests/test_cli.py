@@ -315,6 +315,54 @@ def test_solve_refuses_an_order_over_the_cap_before_building(tmp_path, argv, cap
     assert done.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "K100000", "--dom", "greedy", "--staller", "random"),
+     "n=100000 exceeds the order limit 1024"),
+    (("simulate", "--edge-list", "{big}", "--dom", "greedy", "--staller", "random"),
+     "vertex count 99999999999 exceeds the order limit 1024"),
+    (("gen", "K100000"), "n=100000 exceeds the order limit 1024"),
+    (("gen", "P3+K100000", "--graph6"), "n=100003 exceeds the order limit 1024"),
+    (("gen", "random", "--n", "100000"), "n=100000 exceeds the order limit 1024"),
+    (("diam2", "--n", "100000", "--p", "0.5", "--trials", "1"),
+     "n=100000 exceeds the order limit 1024"),
+], ids=["simulate", "simulate-edge-list", "gen", "gen-union", "gen-random", "diam2"])
+def test_commands_refuse_an_order_over_the_limit_before_building(tmp_path, argv,
+                                                                 message):
+    """Every command that builds a graph from a shorthand, an edge list's
+    header or a random order checks ``ORDER_LIMIT`` first, so in a child
+    process limited to 512 MiB of address space it exits 2 with the limit's
+    message, not out of memory."""
+    import isogame
+    big = tmp_path / "big.txt"
+    big.write_text("99999999999\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(isogame.__file__).parents[1]))
+    probe = ("import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29)); "
+             "from isogame.cli import main; sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *(a.format(big=big) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {message}\n"
+
+
+def test_the_order_limit_admits_its_own_order_and_no_more(capsys, tmp_path):
+    from isogame.graph import ORDER_LIMIT
+    code, out, _ = run(capsys, "gen", f"P{ORDER_LIMIT - 3}+C3")
+    assert code == 0 and out.startswith(f"{ORDER_LIMIT}\n")
+    edges = tmp_path / "e.txt"
+    edges.write_text(f"{ORDER_LIMIT}\n0 1\n")
+    code, _, err = run(capsys, "simulate", "--edge-list", str(edges),
+                       "--dom", "greedy", "--staller", "random")
+    assert (code, err) == (2, "error: the game is defined on isolate-free graphs only\n")
+    code, out, _ = run(capsys, "gen", f"P{ORDER_LIMIT + 1}")
+    assert code == 2 and out == ""
+    # More digits than int() converts by default.
+    code, _, err = run(capsys, "solve", "P3+K" + "9" * 5000)
+    assert (code, err) == (2, "error: a term's order of 5000 digits exceeds "
+                              f"the order limit {ORDER_LIMIT}\n")
+
+
 @pytest.mark.parametrize("command", ["verify", "scan-conjecture", "cp-scan"])
 def test_corpus_commands_hold_one_parsed_graph_at_a_time(capsys, tmp_path,
                                                          monkeypatch, command):
@@ -500,3 +548,96 @@ def test_importing_the_cli_does_not_load_multiprocessing():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+
+
+def _fuzz_shorthand(rng):
+    """A family shorthand of small order, or a malformed one."""
+    if rng.random() < 0.3:
+        return rng.choice(["", " ", "+", "P", "P3+", "+C4", "P3++C4", "Q3", "P-1",
+                           "C2", "K0", "P0", "P1", "p 3 + c\t4", "K2+C4", "P٣",
+                           "C1e1", "3P", "P3,C4", "P3+C6+X", "K" + "9" * 5000])
+    terms = [rng.choice("PCKpck") + str(rng.randint(0, 5))
+             for _ in range(rng.randint(1, 2))]
+    return "+".join(terms)
+
+
+def _fuzz_probability(rng):
+    return rng.choice(["nan", "inf", "-inf", "-0.1", "0", "1", "1.5", "0.5",
+                       "0.3", "1e-300", "abc", ""])
+
+
+def _fuzz_corpus_line(rng, lines):
+    line = bytearray(rng.choice(lines))
+    mutation = rng.randrange(6)
+    if mutation == 0 and line:
+        line[rng.randrange(len(line))] = rng.randrange(256)
+    elif mutation == 1 and line:
+        del line[rng.randrange(len(line))]
+    elif mutation == 2:
+        line.insert(rng.randrange(len(line) + 1), rng.randrange(32, 128))
+    elif mutation == 3:
+        line = bytearray(rng.randrange(256) for _ in range(rng.randint(0, 6)))
+    elif mutation == 4:
+        line = line[:1]
+    return bytes(line).replace(b"\n", b"")
+
+
+def _fuzz_argv(rng, tmp_path, lines, case):
+    command = rng.choice(["solve", "simulate", "gen", "diam2", "solve-g6",
+                          "verify", "scan-conjecture", "cp-scan"])
+    if command == "solve":
+        argv = ["solve", _fuzz_shorthand(rng)]
+    elif command == "solve-g6":
+        if rng.random() < 0.5:
+            text = _fuzz_corpus_line(rng, lines).decode("latin-1")
+        else:
+            text = "".join(chr(rng.randrange(33, 127)) for _ in range(rng.randint(0, 8)))
+        argv = ["solve", f"--g6={text}"]
+    elif command == "simulate":
+        names = ["greedy", "modified-greedy", "optimal", "random", "extremal",
+                 "best-response", "nobody"]
+        argv = ["simulate", _fuzz_shorthand(rng), "--dom", rng.choice(names),
+                "--staller", rng.choice(names), "--seed", str(rng.randint(-2, 9))]
+    elif command == "gen":
+        if rng.random() < 0.5:
+            argv = ["gen", _fuzz_shorthand(rng)]
+        else:
+            argv = ["gen", "random", "--n", str(rng.randint(-2, 8)),
+                    "--p", _fuzz_probability(rng),
+                    "--min-degree", str(rng.randint(-1, 2)),
+                    "--seed", str(rng.randint(0, 9))]
+    elif command == "diam2":
+        argv = ["diam2", "--n", str(rng.randint(-1, 8)), "--p", _fuzz_probability(rng),
+                "--trials", str(rng.randint(-1, 3)), "--seed", str(rng.randint(0, 9))]
+    else:
+        corpus = tmp_path / f"c{case}.g6"
+        corpus.write_bytes(b"\n".join(_fuzz_corpus_line(rng, lines)
+                                      for _ in range(rng.randint(0, 4))))
+        argv = [command, str(corpus)]
+        if command == "verify":
+            if rng.random() < 0.3:
+                argv += ["--bounds", rng.choice(["T36", "T41", "X1", "C32"])]
+            if rng.random() < 0.3:
+                argv += ["--out", str(tmp_path / rng.choice(["r.json", "r.csv"]))]
+    if command in ("solve", "simulate", "solve-g6") and rng.random() < 0.3:
+        argv.append("--staller-start")
+    return argv
+
+
+def test_fuzzed_invocations_keep_the_exit_code_contract(capsys, tmp_path):
+    """Every strategy pair, then seeded random invocations of every command,
+    on small orders, with malformed shorthands, probabilities and graph6
+    bytes, and corpus lines mutated byte by byte: each exits 0, 1 or 2, and
+    none reports an internal error (the message for an exception no handler
+    expected)."""
+    import itertools
+    import random
+    from isogame.cli import STRATEGY_NAMES
+    rng = random.Random(20261020)
+    lines = (Path(__file__).parent / "data" / "connected_3_8.g6").read_bytes().split()[:400]
+    cases = [["simulate", _fuzz_shorthand(rng), "--dom", dom, "--staller", staller]
+             for dom, staller in itertools.product(STRATEGY_NAMES, repeat=2)]
+    cases += [_fuzz_argv(rng, tmp_path, lines, case) for case in range(300)]
+    for argv in cases:
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2) and "internal error" not in err, (argv, code, err)

@@ -382,8 +382,8 @@ def _unmemoized(result, entries, bound_names=None):
     """The reports of ``result`` with every ``checks`` evaluated afresh."""
     specs = bounds_by_name(bound_names)
     graphs = {entry.gid: entry.graph for entry in entries}
-    return [BoundReport(**{**vars(report), "checks": check_all(
-                GraphFacts.of(graphs[report.gid]), report.igt, report.igts, specs)})
+    return [report._replace(checks=check_all(
+                GraphFacts.of(graphs[report.gid]), report.igt, report.igts, specs))
             for report in result.reports]
 
 

@@ -2,8 +2,7 @@
 isolation game on graphs."""
 
 from .engine import (GameState, MarkPartition, Player, is_isolating_set,
-                     is_total_isolating_set, marked_set, new_game,
-                     playable_set, replay)
+                     is_total_isolating_set, marked_set, new_game, replay)
 from .errors import (GameStateError, GenerationError, GraphDomainError,
                      GraphFormatError, IllegalMoveError, IsogameError,
                      ProtocolViolationError, SnapshotDomainError,
@@ -19,7 +18,7 @@ from .solver import (DEFAULT_SOLVER_CAP, GameValue, Solver, cp_gap, solve,
 from .strategies import (BestResponseStrategy, ExtremalStaller, GameTrace,
                          GreedyDominator, ModifiedGreedyDominator, MoveRecord,
                          OptimalStrategy, RandomStrategy, StageSnapshot,
-                         Strategy, best_response_value, greedy_move,
-                         modified_greedy_move, simulate, stage_snapshot)
+                         Strategy, best_response_value, simulate,
+                         stage_snapshot)
 
 __version__ = "0.1.0"

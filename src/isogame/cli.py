@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
+import stat
 import sys
 from contextlib import contextmanager, nullcontext
 from typing import Sequence
@@ -160,7 +162,7 @@ def _cmd_verify(args) -> int:
     names = tuple(args.bounds) if args.bounds else None
     # The report opens before the first graph is solved, so an unusable
     # path fails before any work or output. It opens for appending, and a
-    # file is emptied only once the corpus is read: it may be the corpus.
+    # regular file is emptied once the corpus is read: it may be the corpus.
     with (_corpus_entries(args.corpus) as entries,
           (open(args.out, "a", encoding="utf-8", newline="")
            if args.out else nullcontext()) as out):
@@ -171,7 +173,7 @@ def _cmd_verify(args) -> int:
             print(f"{report.gid} n={report.n} igt={report.igt} igtS={report.igts} {status}")
         _warn_skipped(result.skipped)
         if args.out:
-            if out.seekable():
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
                 out.truncate(0)
             if args.out.endswith(".csv"):
                 write_csv_report(result, out)

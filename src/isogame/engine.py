@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import GameStateError, GraphDomainError, IllegalMoveError
+from .errors import GraphDomainError, IllegalMoveError
 from .graph import Graph, iter_bits, open_neighborhood
 
 
@@ -41,13 +41,12 @@ def marked_set(g: Graph, played: int) -> MarkPartition:
     every neighbor of a played vertex, the isolation clause marks unplayed
     vertices whose neighbors were all deleted with the played neighborhood.
     """
-    g._check_subset(played)
     if not played and g._low:
         # Nothing played marks no neighbor, and only a degree-0 vertex is
         # isolated in the whole graph, so the root of a game marks nothing.
         return MarkPartition(0, g.full_mask)
     adj = g.adj
-    marked = playable_from(g, played)
+    marked = open_neighborhood(g, played)
     full = g.full_mask
     survivors = full & ~marked
     rest = survivors & ~played
@@ -59,35 +58,8 @@ def marked_set(g: Graph, played: int) -> MarkPartition:
     return MarkPartition(marked, full & ~marked)
 
 
-def playable_from(g: Graph, unmarked: int) -> int:
-    """Vertices with at least one neighbor in the ``unmarked`` mask.
-
-    Adjacency is symmetric, so these are the neighbors of the unmarked
-    vertices.
-    """
-    adj = g.adj
-    out = 0
-    while unmarked:
-        low = unmarked & -unmarked
-        out |= adj[low.bit_length() - 1]
-        unmarked ^= low
-    return out
-
-
-def playable_set(g: Graph, played: int) -> int:
-    """Vertices with at least one unmarked neighbor.
-
-    This is the fast equivalent of the two-clause legality rule (a played
-    vertex never qualifies: its neighbors all sit inside the played set's
-    neighborhood and are marked). The slow two-clause form lives in
-    :mod:`isogame.oracles` and the two are cross-checked under test.
-    """
-    return playable_from(g, marked_set(g, played).unmarked)
-
-
 def is_isolating_set(g: Graph, members: int) -> bool:
     """True when deleting the members' closed neighborhood leaves no edge."""
-    g._check_subset(members)
     remainder = g.full_mask & ~(open_neighborhood(g, members) | members)
     return all(g.adj[v] & remainder == 0 for v in iter_bits(remainder))
 
@@ -120,7 +92,7 @@ class GameState(NamedTuple):
         return self.marks().unmarked
 
     def playable(self) -> int:
-        return playable_set(self.graph, self.played)
+        return open_neighborhood(self.graph, self.unmarked())
 
     def is_terminal(self) -> bool:
         return self.unmarked() == 0

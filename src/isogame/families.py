@@ -13,6 +13,8 @@ from .errors import GenerationError, GraphDomainError
 from .graph import ORDER_LIMIT, Graph
 
 RANDOM_RETRY_CAP = 10_000
+# The coin flips of all samples: the retry cap's worth at n = 62, 36 at n = 1024.
+RANDOM_FLIP_CAP = RANDOM_RETRY_CAP * (62 * 61 // 2)
 
 _TERM_RE = re.compile(r"([PCKpck])(\d+)")
 
@@ -51,20 +53,24 @@ def random_connected(n: int, p: float, min_degree: int = 1,
     """Sample G(n, p) until connected with the required minimum degree.
 
     Deterministic for a fixed seed; raises :class:`GenerationError` after
-    ``RANDOM_RETRY_CAP`` failed attempts.
+    ``RANDOM_RETRY_CAP`` failed samples, or as many as flip ``RANDOM_FLIP_CAP`` coins.
     """
     if n < 1:
         raise GraphDomainError(f"need at least 1 vertex, got {n}")
     if not 0 < p < 1:
         raise GraphDomainError(f"edge probability must be in (0, 1), got {p}")
+    _check_buildable(n)
+    if min_degree > n - 1:
+        raise GraphDomainError(f"no graph on {n} vertices has min degree {min_degree}")
+    samples = min(RANDOM_RETRY_CAP, RANDOM_FLIP_CAP // max(1, n * (n - 1) // 2))
     rng = random.Random(seed)
-    for _ in range(RANDOM_RETRY_CAP):
+    for _ in range(samples):
         g = random_graph(n, p, rng)
         if g.is_connected() and g.min_degree >= min_degree:
             return g
     raise GenerationError(
         f"no connected graph with min degree {min_degree} found in "
-        f"{RANDOM_RETRY_CAP} samples of G({n}, {p})")
+        f"{samples} samples of G({n}, {p})")
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

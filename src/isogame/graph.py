@@ -260,9 +260,12 @@ def induced_subgraph(g: Graph, members: int) -> tuple[Graph, tuple[int, ...]]:
 def open_neighborhood(g: Graph, members: int) -> int:
     """Union of the neighbor sets of ``members``; may intersect ``members``."""
     g._check_subset(members)
+    adj = g.adj
     out = 0
-    for v in iter_bits(members):
-        out |= g.adj[v]
+    while members:
+        low = members & -members
+        out |= adj[low.bit_length() - 1]
+        members ^= low
     return out
 
 
@@ -273,8 +276,7 @@ def closed_neighborhood(g: Graph, members: int) -> int:
 
 def is_independent(g: Graph, members: int) -> bool:
     """True when no edge joins two members."""
-    g._check_subset(members)
-    return all(g.adj[v] & members == 0 for v in iter_bits(members))
+    return not open_neighborhood(g, members) & members
 
 
 def is_packing(g: Graph, members: int) -> bool:

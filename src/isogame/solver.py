@@ -65,7 +65,7 @@ class StateCache:
     marks are freed together with that owner. Its users are the
     played-set boundary of :class:`Solver` (``value``, ``best_move`` and
     ``game_value``, and the forced solver's ``value_from`` and
-    ``free_side_move``) and :func:`strategies.simulate`; the searches
+    ``best_move``) and :func:`strategies.simulate`; the searches
     themselves step the unmarked set with :func:`_step`.
     """
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .engine import (GameState, Player, check_game_domain, marked_set,
-                     playable_from)
+from .engine import Player, check_game_domain, marked_set
 from .errors import (GameStateError, ProtocolViolationError,
                      SnapshotDomainError, StrategyDomainError)
 from .graph import (Graph, closed_neighborhood, induced_subgraph, iter_bits,
@@ -126,17 +125,6 @@ def _mark_gains(g: Graph, unmarked: int, within: int = -1) -> tuple[int, list[in
     return best, maximizers
 
 
-def greedy_move(state: GameState) -> int:
-    """Playable vertex marking the most new vertices; ties to lowest index."""
-    return _mark_gains(state.graph, state.unmarked())[1][0]
-
-
-def modified_greedy_move(state: GameState) -> int:
-    """Greedy, preferring non-leaves among the maximizers when any exist."""
-    return ModifiedGreedyDominator().choose(state.graph, state.unmarked(),
-                                            state.mover, None, state.played)
-
-
 class GreedyDominator(Strategy):
     name = "greedy"
 
@@ -168,7 +156,7 @@ class RandomStrategy(Strategy):
         self.seed = seed
 
     def choose(self, g, unmarked, mover, last, played):
-        playable = vertices_of(playable_from(g, unmarked))
+        playable = vertices_of(open_neighborhood(g, unmarked))
         if not playable:
             raise GameStateError("no moves in a terminal state")
         rng = random.Random(self.seed * (1 << g.n) + played)
@@ -238,6 +226,11 @@ class ExtremalStaller(Strategy):
         local = vertex_set(originals.index(v) for v in iter_bits(unmarked & members))
         return originals[solver._best_move(local, False)]
 
+    def _last_component(self, g: Graph, unmarked: int, last: int) -> tuple[int, int]:
+        """The component of ``last`` and its playable vertices."""
+        comp = next(comp for comp in g.components if comp >> last & 1)
+        return comp, open_neighborhood(g, unmarked & comp)
+
     def choose(self, g, unmarked, mover, last, played):
         kinds = self._search_for(g)[0]
         if mover is not Player.STALLER:
@@ -245,8 +238,7 @@ class ExtremalStaller(Strategy):
         if last is None:
             raise StrategyDomainError(
                 "the extremal strategy answers a Dominator move; none was made")
-        comp = next(comp for comp in kinds if comp >> last & 1)
-        in_component = playable_from(g, unmarked) & comp
+        comp, in_component = self._last_component(g, unmarked, last)
         if in_component == 0:
             return self._optimal_within(g, unmarked, g.full_mask)
         kind = kinds[comp]
@@ -260,9 +252,7 @@ class ExtremalStaller(Strategy):
         return self._optimal_within(g, unmarked, comp)
 
     def note(self, g, unmarked, last):
-        playable = playable_from(g, unmarked)
-        if last is not None and not any(comp >> last & 1 and playable & comp
-                                        for comp in g.components):
+        if last is not None and not self._last_component(g, unmarked, last)[1]:
             return "component finished; fell back to the global optimal move"
         return None
 
@@ -340,10 +330,6 @@ class StageSnapshot(NamedTuple):
     def unmarked_count(self) -> int:
         return self.unmarked.bit_count()
 
-    @property
-    def leaf_unmarked_count(self) -> int:
-        return self.leaf_unmarked.bit_count()
-
 
 def stage_snapshot(trace: GameTrace) -> StageSnapshot | None:
     """Quantities at the stage boundary, or None if no trickle stage ran."""
@@ -399,10 +385,9 @@ class ForcedGameSolver(Solver):
     and convert it to ``U`` through the solver's ``cache``, and each answers
     the forced game: :meth:`value_from`, and :meth:`value` and
     :meth:`Solver.at_most` on it, give its length, and :meth:`best_move`
-    (also :meth:`free_side_move`) the free side's optimal move. The forced
-    side has no move to optimize, and the forced game no principal
-    variation, so ``best_move`` for it and :meth:`game_value` raise
-    :class:`GameStateError`.
+    the free side's optimal move. The forced side has no move to optimize,
+    and the forced game no principal variation, so ``best_move`` for it and
+    :meth:`game_value` raise :class:`GameStateError`.
     """
 
     def __init__(self, g: Graph, strategy: Strategy, fixed_role: Player):
@@ -464,8 +449,6 @@ class ForcedGameSolver(Solver):
         self._played = played
         return self._best_move(self.cache.info(played), self._free_dom)
 
-    free_side_move = best_move
-
     def game_value(self, first_mover: Player) -> GameValue:
         raise GameStateError(
             "a forced game has no principal variation; use value_from, or "
@@ -497,4 +480,4 @@ class BestResponseStrategy(Strategy):
     def choose(self, g, unmarked, mover, last, played):
         if mover is not self.role:
             raise StrategyDomainError(f"best-response built for {self.role}")
-        return self._search_for(g).free_side_move(played, mover)
+        return self._search_for(g).best_move(played, mover)

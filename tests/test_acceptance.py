@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from isogame import oracles
-from isogame.engine import Player, is_total_isolating_set, new_game
+from isogame.engine import GameState, Player, is_total_isolating_set, new_game
 from isogame.families import complete, cycle, from_shorthand, path
 from isogame.graph import is_independent, is_packing, vertices_of
 from isogame.lab import diam2_sample, scan_conjecture, verify
@@ -170,8 +170,7 @@ def test_criterion_08_engine_invariant_trials():
     for _ in range(trials):
         g = random_isolate_free(rng)
         played = rng.getrandbits(g.n) & g.full_mask
-        from isogame.engine import playable_set
-        assert list(vertices_of(playable_set(g, played))) \
+        assert list(vertices_of(GameState(g, played, Player.DOMINATOR).playable())) \
             == oracles.legal_moves(g, set(vertices_of(played)))
     _report("criterion 8 (engine invariants)",
             f"{trials} playouts and {trials} legality cross-checks clean")

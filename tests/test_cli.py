@@ -284,6 +284,16 @@ def test_verify_writes_a_report_to_a_pipe(tmp_path):
     assert '"summary": {\n    "graphs": 1,' in done.stdout
 
 
+def test_verify_writes_a_report_to_a_device(capsys, tmp_path):
+    """A report target that is not a regular file, such as ``os.devnull``,
+    is written without being emptied, and the run ends with its summary."""
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("".join(emit_graph6(g) + "\n" for g in (path(5), cycle(5))))
+    code, out, err = run(capsys, "verify", str(corpus), "--out", os.devnull)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "verified 2 graphs, 0 failures, 0 skipped"
+
+
 @pytest.mark.parametrize("argv, cap, message", [
     (("K100000",), None, "n=100000 exceeds the solver cap 20; "
      "set ISOGAME_SOLVER_CAP to solve it anyway"),

@@ -3,6 +3,7 @@ import pytest
 from isogame.errors import GenerationError, GraphDomainError
 from isogame.families import (complete, cycle, disjoint_union, from_shorthand,
                               path, random_connected)
+from isogame.graph import Graph
 
 
 def test_cycle_degree_sequence():
@@ -49,6 +50,33 @@ def test_random_connected_gives_up():
     # connectivity is (essentially) unreachable at this density
     with pytest.raises(GenerationError):
         random_connected(40, 0.01, 5, seed=1)
+
+
+def test_random_connected_bounds_its_coin_flips(monkeypatch):
+    """Up to n = 62 the sample count is the retry cap; above it, the samples
+    together flip at most ``RANDOM_FLIP_CAP`` coins, one per vertex pair, so
+    at n = 1024 it gives up after 36. A minimum degree above n - 1 is
+    refused before any sample."""
+    import isogame.families as families
+    disconnected = {n: Graph(n, []) for n in (62, 1024)}
+    calls = []
+
+    def sample(n, p, rng):
+        calls.append(n)
+        return disconnected[n]
+
+    monkeypatch.setattr(families, "random_graph", sample)
+    for n, samples in ((62, families.RANDOM_RETRY_CAP), (1024, 36)):
+        calls.clear()
+        with pytest.raises(GenerationError, match=f" {samples} samples of G"):
+            random_connected(n, 0.0001, seed=1)
+        assert len(calls) == samples
+        assert samples * n * (n - 1) // 2 <= families.RANDOM_FLIP_CAP
+    calls.clear()
+    for n, min_degree in ((1024, 1024), (3, 5), (1, 1)):
+        with pytest.raises(GraphDomainError, match="has min degree"):
+            random_connected(n, 0.5, min_degree, seed=1)
+    assert calls == []
 
 
 def test_random_connected_rejects_bad_p():

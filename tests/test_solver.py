@@ -9,12 +9,12 @@ from pathlib import Path
 import pytest
 
 from isogame import oracles
-from isogame.engine import Player, marked_set, new_game, playable_from, replay
+from isogame.engine import Player, marked_set, new_game, replay
 from isogame.errors import GameStateError, GraphDomainError, SolverCapError
 from isogame.families import (complete, cycle, from_shorthand, path,
                               random_connected)
 from isogame import lab, strategies
-from isogame.graph import Graph, vertex_set, vertices_of
+from isogame.graph import Graph, open_neighborhood, vertex_set, vertices_of
 from isogame.graph6 import parse_graph6
 from isogame.solver import (Solver, _automorphisms, _ending_moves,
                             _image_tables, _step, cp_gap, solve, solve_both,
@@ -161,7 +161,7 @@ def test_children_are_stepped_by_marks_then_index(n, monkeypatch):
     if n > 3:
         w = random.Random(n).choice(vertices_of(g.full_mask))
         unmarked = _step(g.adj, unmarked, w)
-    playable = vertices_of(playable_from(g, unmarked))
+    playable = vertices_of(open_neighborhood(g, unmarked))
     marks = {w: (unmarked & g.adj[w]).bit_count() for w in playable}
     for dom in (True, False):
         stepped = []
@@ -277,7 +277,7 @@ def test_step_matches_marked_set_along_random_playouts(spec):
     for _ in range(30):
         played, unmarked = 0, g.full_mask
         while unmarked:
-            playable = playable_from(g, unmarked)
+            playable = open_neighborhood(g, unmarked)
             assert playable == vertex_set(
                 oracles.legal_moves(g, set(vertices_of(played))))
             w = rng.choice(vertices_of(playable))
@@ -293,7 +293,7 @@ def _reachable_unmarked_sets(g):
     seen, frontier = {g.full_mask}, [g.full_mask]
     while frontier:
         unmarked = frontier.pop()
-        for w in vertices_of(playable_from(g, unmarked)):
+        for w in vertices_of(open_neighborhood(g, unmarked)):
             after = _step(g.adj, unmarked, w)
             if after and after not in seen:
                 seen.add(after)
@@ -306,7 +306,7 @@ def _check_ending_moves(g, unmarked):
     empty set, and it is non-empty exactly when the greedy gain reaches
     ``|U|``, when it equals the greedy maximizers."""
     ends = _ending_moves(g.adj, unmarked)
-    assert ends == vertex_set(w for w in vertices_of(playable_from(g, unmarked))
+    assert ends == vertex_set(w for w in vertices_of(open_neighborhood(g, unmarked))
                               if _step(g.adj, unmarked, w) == 0)
     gain, maximizers = strategies._mark_gains(g, unmarked)
     assert bool(ends) == (gain == unmarked.bit_count())
@@ -328,7 +328,7 @@ def test_ending_moves_match_the_step_along_random_playouts():
         while unmarked:
             _check_ending_moves(g, unmarked)
             unmarked = _step(g.adj, unmarked,
-                             rng.choice(vertices_of(playable_from(g, unmarked))))
+                             rng.choice(vertices_of(open_neighborhood(g, unmarked))))
 
 
 def test_dominator_window_at_most_one_steps_no_child(small_connected, monkeypatch):
@@ -395,7 +395,7 @@ def test_staller_window_at_most_one_steps_no_child(small_connected, monkeypatch)
 
 def _every_move_ends(g, unmarked):
     return all(_step(g.adj, unmarked, w) == 0
-               for w in vertices_of(playable_from(g, unmarked)))
+               for w in vertices_of(open_neighborhood(g, unmarked)))
 
 
 def test_no_move_empties_two_or_more_so_the_staller_leaf_is_two(small_connected):
@@ -423,7 +423,7 @@ def test_no_move_empties_two_or_more_so_the_staller_leaf_is_two(small_connected)
         while unmarked.bit_count() >= 2:
             assert not _every_move_ends(g, unmarked)
             unmarked = _step(g.adj, unmarked,
-                             rng.choice(vertices_of(playable_from(g, unmarked))))
+                             rng.choice(vertices_of(open_neighborhood(g, unmarked))))
 
 
 def test_c18_table_holds_one_entry_per_unmarked_state():
@@ -564,7 +564,7 @@ def test_canonical_key_is_invariant_under_the_automorphisms_found(name):
                 if group:
                     for sigma in autos:
                         assert solver._canonical(_image(sigma, unmarked)) == key
-                w = rng.choice(vertices_of(playable_from(g, unmarked)))
+                w = rng.choice(vertices_of(open_neighborhood(g, unmarked)))
                 unmarked = _step(g.adj, unmarked, w)
         for first, value in zip((Player.DOMINATOR, Player.STALLER), values):
             line = solver.game_value(first)

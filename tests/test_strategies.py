@@ -5,36 +5,44 @@ import random
 import pytest
 
 from isogame import oracles
-from isogame.engine import Player, marked_set, new_game, playable_from, replay
+from isogame.engine import Player, marked_set, new_game, replay
 from isogame.errors import (GameStateError, ProtocolViolationError,
                             SnapshotDomainError, StrategyDomainError)
 from isogame.families import (complete, cycle, disjoint_union, from_shorthand,
                               path, random_connected)
 from isogame.graph import (Graph, is_independent, is_packing, iter_bits,
-                           vertex_set, vertices_of)
+                           open_neighborhood, vertex_set, vertices_of)
 from isogame.solver import Solver, StateCache, _automorphisms, _step, solve
 from isogame.strategies import (STAGE_BURST, STAGE_TRICKLE,
                                 BestResponseStrategy, ExtremalStaller,
                                 ForcedGameSolver, GreedyDominator,
                                 ModifiedGreedyDominator, OptimalStrategy,
                                 RandomStrategy, Strategy, _mark_gains,
-                                best_response_value, greedy_move,
-                                modified_greedy_move, simulate,
-                                stage_snapshot)
+                                best_response_value, simulate, stage_snapshot)
 
 from conftest import petersen, random_isolate_free
 
 
 # -- greedy moves ------------------------------------------------------------
 
+def greedy_choice(state):
+    return GreedyDominator().choose(state.graph, state.unmarked(), state.mover,
+                                    None, state.played)
+
+
+def modified_greedy_choice(state):
+    return ModifiedGreedyDominator().choose(state.graph, state.unmarked(),
+                                            state.mover, None, state.played)
+
+
 def test_greedy_p5_plays_center():
     state = new_game(path(5))
-    assert greedy_move(state) == 2
+    assert greedy_choice(state) == 2
     assert StateCache(state.graph).mark_gain(0, 2) == 4
 
 
 def test_greedy_c6_tie_breaks_low():
-    assert greedy_move(new_game(cycle(6))) == 0
+    assert greedy_choice(new_game(cycle(6))) == 0
 
 
 def test_greedy_first_gain_at_least_max_degree():
@@ -42,19 +50,19 @@ def test_greedy_first_gain_at_least_max_degree():
     for _ in range(200):
         g = random_isolate_free(rng)
         state = new_game(g)
-        v = greedy_move(state)
+        v = greedy_choice(state)
         assert StateCache(g).mark_gain(0, v) >= g.max_degree
 
 
 def test_greedy_errors_on_terminal():
     with pytest.raises(GameStateError):
-        greedy_move(replay(path(5), [2, 1]))
+        greedy_choice(replay(path(5), [2, 1]))
 
 
 def _gains_from_scratch(g, played, within):
     before = marked_set(g, played).unmarked
     return [(v, before.bit_count() - marked_set(g, played | 1 << v).unmarked.bit_count())
-            for v in iter_bits(playable_from(g, before) & within)]
+            for v in iter_bits(open_neighborhood(g, before) & within)]
 
 
 def _best_and_maximizers(gains):
@@ -120,16 +128,16 @@ def test_greedy_choices_match_oracle_gains(small_connected):
 
 
 def test_modified_greedy_prefers_non_leaf():
-    assert modified_greedy_move(new_game(path(3))) == 1
-    assert greedy_move(new_game(path(3))) == 0
-    assert modified_greedy_move(new_game(path(5))) == 2
+    assert modified_greedy_choice(new_game(path(3))) == 1
+    assert greedy_choice(new_game(path(3))) == 0
+    assert modified_greedy_choice(new_game(path(5))) == 2
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert modified_greedy_move(new_game(star)) == 0
+    assert modified_greedy_choice(new_game(star)) == 0
 
 
 def test_modified_greedy_takes_leaf_when_forced():
     # on K2 every vertex is a leaf
-    assert modified_greedy_move(new_game(complete(2))) == 0
+    assert modified_greedy_choice(new_game(complete(2))) == 0
 
 
 # -- extremal Staller ---------------------------------------------------------
@@ -474,7 +482,6 @@ def _check_forced_methods(search, g, strategy, fixed_role, starts):
         with pytest.raises(GameStateError):
             search.game_value(first)
     move = search.best_move(0, free)
-    assert search.free_side_move(0, free) == move
     assert 1 + oracles.brute_forced_value(g, strategy, fixed_role, free, (move,)) \
         == oracles.brute_forced_value(g, strategy, fixed_role, free)
     with pytest.raises(GameStateError):
@@ -589,7 +596,7 @@ def _histories(g):
     while frontier:
         following = []
         for played in frontier:
-            for v in iter_bits(playable_from(g, marked_set(g, played).unmarked)):
+            for v in iter_bits(open_neighborhood(g, marked_set(g, played).unmarked)):
                 child = played | 1 << v
                 if child not in histories:
                     histories[child] = histories[played] + (v,)
@@ -652,7 +659,7 @@ def test_forced_memo_keys_on_the_unmarked_set():
             if mover is Player.DOMINATOR:
                 moves = [greedy.choose(g, unmarked, mover, None, 0)]
             else:
-                moves = iter_bits(playable_from(g, unmarked))
+                moves = iter_bits(open_neighborhood(g, unmarked))
             for v in moves:
                 child = (_step(g.adj, unmarked, v), mover.other)
                 if child[0] and child not in states:
@@ -791,3 +798,25 @@ def test_forced_memo_shares_unmarked_sets_and_not_orbits():
             assert search.value_from(played, mover) == want
             assert oracles.brute_forced_value(g, greedy, Player.DOMINATOR, first,
                                               histories[played]) == want
+
+
+def test_readme_library_block_runs():
+    """The ``## Library`` example in README.md runs as written, and the
+    values its comments state hold."""
+    import ast
+    from pathlib import Path
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    namespace: dict = {}
+    values = {}
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            values[ast.get_source_segment(block, stmt)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert values["cp_gap(cycle(5))"] == -1
+    assert values["ExtremalStaller().choose(g, unmarked, Player.STALLER, 1, 1 << 1)"] == 0
+    assert values["ExtremalStaller().note(g, unmarked, 1)"] is None
+    assert values["forced.best_move(0, Player.STALLER)"] in range(namespace["g"].n)

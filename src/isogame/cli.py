@@ -238,71 +238,97 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _solve_arguments(p: argparse.ArgumentParser) -> None:
+    _add_graph_arguments(p)
+    p.add_argument("--staller-start", action="store_true",
+                   help="solve the Staller-start game instead")
+
+
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
+    _add_graph_arguments(p)
+    p.add_argument("--dom", required=True, metavar="STRATEGY",
+                   help=f"Dominator strategy: {', '.join(STRATEGY_NAMES)}")
+    p.add_argument("--staller", required=True, metavar="STRATEGY",
+                   help="Staller strategy (same names)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--staller-start", action="store_true")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("corpus", help="graph6 file, one graph per line, or -")
+    p.add_argument("--bounds", nargs="+", metavar="NAME",
+                   help=f"subset of bounds: {', '.join(bound_names())}")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--out", metavar="FILE",
+                   help="write a report (.json or .csv by extension)")
+
+
+def _corpus_argument(p: argparse.ArgumentParser) -> None:
+    p.add_argument("corpus")
+
+
+def _diam2_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--p", type=_probability, required=True)
+    p.add_argument("--trials", type=_int_at_least(1), required=True)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family", help="shorthand like P5 or P3+C6, or 'random'")
+    p.add_argument("--graph6", action="store_true",
+                   help="emit graph6 instead of an edge list")
+    p.add_argument("--n", type=int, default=10, help="random: vertex count")
+    p.add_argument("--p", type=float, default=0.5, help="random: edge probability")
+    p.add_argument("--min-degree", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
+
+
+# Each command's help line, the routine adding its arguments, and its handler.
+_COMMANDS = {
+    "solve": ("exact game value and principal variation", _solve_arguments,
+              _cmd_solve),
+    "simulate": ("play two strategies against each other", _simulate_arguments,
+                 _cmd_simulate),
+    "verify": ("check every bound over a graph6 corpus", _verify_arguments,
+               _cmd_verify),
+    "scan-conjecture": ("search a corpus for igt > 2n/3", _corpus_argument,
+                        _cmd_scan_conjecture),
+    "cp-scan": ("histogram of igtS - igt over a corpus", _corpus_argument,
+                _cmd_cp_scan),
+    "diam2": ("random-graph sampling of the diameter-2 bound", _diam2_arguments,
+              _cmd_diam2),
+    "gen": ("emit a graph from a family", _gen_arguments, _cmd_gen),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command."""
+    return _parser(_COMMANDS)
+
+
+def _parser(names) -> argparse.ArgumentParser:
+    """The top-level parser with only the commands ``names``. With fewer than
+    all, the metavar lists every name, so usage lines and errors are the full
+    parser's, whose missing-command error keeps calling it ``command``."""
     parser = argparse.ArgumentParser(
         prog="isogame",
         description="exact solver and verification lab for the total "
                     "isolation game on graphs")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="exact game value and principal variation")
-    _add_graph_arguments(p_solve)
-    p_solve.add_argument("--staller-start", action="store_true",
-                         help="solve the Staller-start game instead")
-    p_solve.set_defaults(handler=_cmd_solve)
-
-    p_sim = sub.add_parser("simulate", help="play two strategies against each other")
-    _add_graph_arguments(p_sim)
-    p_sim.add_argument("--dom", required=True, metavar="STRATEGY",
-                       help=f"Dominator strategy: {', '.join(STRATEGY_NAMES)}")
-    p_sim.add_argument("--staller", required=True, metavar="STRATEGY",
-                       help="Staller strategy (same names)")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--staller-start", action="store_true")
-    p_sim.set_defaults(handler=_cmd_simulate)
-
-    p_verify = sub.add_parser("verify", help="check every bound over a graph6 corpus")
-    p_verify.add_argument("corpus", help="graph6 file, one graph per line, or -")
-    p_verify.add_argument("--bounds", nargs="+", metavar="NAME",
-                          help=f"subset of bounds: {', '.join(bound_names())}")
-    p_verify.add_argument("--jobs", type=_int_at_least(1), default=1)
-    p_verify.add_argument("--out", metavar="FILE",
-                          help="write a report (.json or .csv by extension)")
-    p_verify.set_defaults(handler=_cmd_verify)
-
-    p_scan = sub.add_parser("scan-conjecture",
-                            help="search a corpus for igt > 2n/3")
-    p_scan.add_argument("corpus")
-    p_scan.set_defaults(handler=_cmd_scan_conjecture)
-
-    p_cp = sub.add_parser("cp-scan", help="histogram of igtS - igt over a corpus")
-    p_cp.add_argument("corpus")
-    p_cp.set_defaults(handler=_cmd_cp_scan)
-
-    p_diam2 = sub.add_parser("diam2",
-                             help="random-graph sampling of the diameter-2 bound")
-    p_diam2.add_argument("--n", type=_int_at_least(1), required=True)
-    p_diam2.add_argument("--p", type=_probability, required=True)
-    p_diam2.add_argument("--trials", type=_int_at_least(1), required=True)
-    p_diam2.add_argument("--seed", type=int, default=0)
-    p_diam2.set_defaults(handler=_cmd_diam2)
-
-    p_gen = sub.add_parser("gen", help="emit a graph from a family")
-    p_gen.add_argument("family",
-                       help="shorthand like P5 or P3+C6, or 'random'")
-    p_gen.add_argument("--graph6", action="store_true",
-                       help="emit graph6 instead of an edge list")
-    p_gen.add_argument("--n", type=int, default=10, help="random: vertex count")
-    p_gen.add_argument("--p", type=float, default=0.5, help="random: edge probability")
-    p_gen.add_argument("--min-degree", type=int, default=1)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.set_defaults(handler=_cmd_gen)
-
+    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, handler = _COMMANDS[name]
+        command = sub.add_parser(name, help=help_text)
+        add_arguments(command)
+        command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # No command, -h or an unknown name builds every command's parser.
+    parser = _parser([argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -26,8 +26,7 @@ from .errors import GraphDomainError, GraphFormatError, SolverCapError
 from .families import random_graph
 from .graph import Graph
 from .graph6 import parse_graph6
-from .solver import (Solver, _check_solvable, cp_gap, solve_both,
-                     solver_cap_from_env)
+from .solver import Solver, _check_solvable, solver_cap_from_env
 
 REPORT_SCHEMA = 1
 CSV_COLUMNS = ["id", "n", "m", "delta", "Delta", "diam", "igt", "igtS",
@@ -98,8 +97,9 @@ def _solve_graph(item: tuple[str, Graph]) -> tuple[str, GraphFacts, int, int]:
     """Both game values and the bound inputs of one graph: the work a
     ``verify`` worker does."""
     gid, g = item
-    igt, igts = solve_both(g)
-    return gid, GraphFacts.of(g), igt, igts
+    solver = Solver._of_solvable(g)
+    igt = solver.value(0, Player.DOMINATOR)
+    return gid, GraphFacts.of(g), igt, solver.value(0, Player.STALLER)
 
 
 class VerifyResult:
@@ -207,7 +207,7 @@ def scan_conjecture(entries: Iterable[CorpusEntry]) -> ConjectureScan:
         if _has_edge_component(g):
             skipped.append((gid, "has a component of order < 3"))
             continue
-        solver = Solver(g)
+        solver = Solver._of_solvable(g)
         checked += 1
         if not solver.at_most(Player.DOMINATOR, 2 * g.n // 3):
             counterexamples.append((gid, g.n, solver.value(0, Player.DOMINATOR)))
@@ -235,7 +235,9 @@ def cp_scan(entries: Iterable[CorpusEntry]) -> GapScan:
     witnesses: list[tuple[str, int]] = []  # in input order, at the peak so far
     skipped: list[tuple[str, str]] = []
     for gid, g in _solvable(entries, skipped):
-        gap = cp_gap(g)
+        solver = Solver._of_solvable(g)
+        igt = solver.value(0, Player.DOMINATOR)
+        gap = solver.value(0, Player.STALLER) - igt
         histogram[gap] = histogram.get(gap, 0) + 1
         peak = abs(witnesses[0][1]) if witnesses else 0
         if abs(gap) > peak:

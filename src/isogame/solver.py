@@ -321,6 +321,18 @@ class Solver:
 
     def __init__(self, g: Graph):
         check_solvable(g)
+        self._assign(g)
+
+    @classmethod
+    def _of_solvable(cls, g: Graph) -> Solver:
+        """A solver for a graph that :func:`check_solvable` has accepted, with
+        no second check; :meth:`__init__` is the checked constructor."""
+        solver = cls.__new__(cls)
+        solver._assign(g)
+        return solver
+
+    def _assign(self, g: Graph) -> None:
+        """Set every field; both constructors end here."""
         self.graph = g
         self.cache = StateCache(g)
         self._table: dict[int, tuple[int, int]] = {}

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, graph inputs, exit codes."""
 
+import argparse
 import gc
 import io
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from isogame import cli
 from isogame.cli import main
 from isogame.families import complete, cycle, path
 from isogame.graph6 import emit_graph6
@@ -534,6 +536,84 @@ def test_malformed_cap_is_usage_error(capsys, tmp_path, monkeypatch, argv, value
 
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
+
+
+def _commands_of(parser):
+    (sub,) = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    return sub.choices
+
+
+_COMMAND_NAMES = ("solve", "simulate", "verify", "scan-conjecture", "cp-scan",
+                  "diam2", "gen")
+_SIMULATE = ["simulate", "C3", "--dom", "greedy", "--staller", "random"]
+_DIAM2 = ["diam2", "--n", "3", "--p", "0.5", "--trials", "1"]
+# Per command: a missing argument, an unrecognized one and, where the
+# command has a typed option, a value its ``type=`` rejects.
+_USAGE_ERRORS = {
+    "solve": (["solve", "--g6"], ["solve", "C3", "--bogus"]),
+    "simulate": (["simulate", "C3", "--dom", "greedy"], _SIMULATE + ["--bogus"],
+                 _SIMULATE + ["--seed", "x"]),
+    "verify": (["verify"], ["verify", "c.g6", "--bogus"],
+               ["verify", "c.g6", "--jobs", "0"]),
+    "scan-conjecture": (["scan-conjecture"], ["scan-conjecture", "c.g6", "x"]),
+    "cp-scan": (["cp-scan"], ["cp-scan", "c.g6", "--bogus"]),
+    "diam2": (["diam2", "--n", "3"], _DIAM2 + ["--bogus"],
+              _DIAM2[:-1] + ["x"]),
+    "gen": (["gen"], ["gen", "P3", "--bogus"], ["gen", "random", "--p", "x"]),
+}
+
+
+def test_the_command_table_names_every_command():
+    assert tuple(cli._COMMANDS) == _COMMAND_NAMES == tuple(_USAGE_ERRORS)
+    assert tuple(_commands_of(cli.build_parser())) == _COMMAND_NAMES
+
+
+@pytest.mark.parametrize("name", _COMMAND_NAMES)
+def test_one_command_parser_prints_what_the_full_parser_prints(name):
+    """A parser built for one command gives the full parser's help and usage,
+    for the command and at the top level."""
+    full, lone = cli.build_parser(), cli._parser([name])
+    assert list(_commands_of(lone)) == [name]
+    assert lone.format_usage() == full.format_usage()
+    command, reference = _commands_of(lone)[name], _commands_of(full)[name]
+    assert command.format_help() == reference.format_help()
+    assert command.format_usage() == reference.format_usage()
+
+
+@pytest.mark.parametrize("argv", [argv for errors in _USAGE_ERRORS.values()
+                                  for argv in errors]
+                         + [[], ["bogus"], ["solv"], ["--bogus", "solve"]])
+def test_main_reports_usage_errors_as_the_full_parser_does(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        cli.build_parser().parse_args(argv)
+    expected = (exited.value.code, *capsys.readouterr())
+    assert expected[0] == 2 and expected[2]
+    assert (main(argv), *capsys.readouterr()) == expected
+
+
+def test_no_command_is_a_usage_error_naming_the_command_argument(capsys):
+    code, out, err = run(capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        "isogame: error: the following arguments are required: command\n")
+
+
+def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def recording(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+    assert main(["solve", "C3"]) == 0
+    assert built == ["solve"]
+    built.clear()
+    assert main(["bogus"]) == 2
+    assert tuple(built) == _COMMAND_NAMES
+    capsys.readouterr()
 
 
 def test_verify_62_vertex_line_is_skipped_at_the_cap(capsys, monkeypatch):

@@ -48,6 +48,35 @@ def test_verify_small_batch():
     assert (p5.igt, p5.igts, p5.cp_gap) == (2, 4, 2)
 
 
+def test_corpus_runs_read_the_cap_once_and_check_each_graph_once(monkeypatch):
+    """A corpus run reads the solver cap once and builds each accepted
+    graph's solver without a second check; ``Solver(g)`` still reads the cap
+    itself and refuses an over-cap graph with the same message."""
+    import isogame.lab
+    import isogame.solver
+    real, calls = isogame.solver.solver_cap_from_env, []
+
+    def counting():
+        calls.append(None)
+        return real()
+
+    monkeypatch.setattr(isogame.lab, "solver_cap_from_env", counting)
+    monkeypatch.setattr(isogame.solver, "solver_cap_from_env", counting)
+    monkeypatch.setenv("ISOGAME_SOLVER_CAP", "6")
+    text = _corpus_text([path(5), cycle(4), cycle(5), complete(4), path(7)])
+    over_cap = ("corpus:5", "n=7 exceeds the solver cap 6; "
+                "set ISOGAME_SOLVER_CAP to solve it anyway")
+    for run in (verify, scan_conjecture, cp_scan):
+        calls.clear()
+        result = run(load_graph6_corpus(io.StringIO(text)))
+        assert len(calls) == 1, run
+        assert result.skipped == [over_cap]
+    calls.clear()
+    with pytest.raises(SolverCapError) as refused:
+        Solver(path(7))
+    assert (len(calls), str(refused.value)) == (1, over_cap[1])
+
+
 def test_verify_malformed_lines_do_not_fail_the_run():
     text = _corpus_text([path(5)]) + "zz@@@\n"
     result = verify(load_graph6_corpus(io.StringIO(text)))

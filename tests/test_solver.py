@@ -426,6 +426,25 @@ def test_no_move_empties_two_or_more_so_the_staller_leaf_is_two(small_connected)
                              rng.choice(vertices_of(open_neighborhood(g, unmarked))))
 
 
+def test_some_staller_move_may_end_the_game_so_a_forced_staller_can_score_one():
+    """The lemma is that *some* Staller move leaves ``U`` non-empty, not every
+    one. On the paw v1-v2, v2-v3, v2-v4, v3-v4, after v1 the unmarked set is
+    {v1, v3, v4} and v2 marks all of it: a maximizing Staller is worth 2
+    there, but a forced Staller whose strategy plays v2 ends the game at
+    once, so a forced reply under ``beta <= 2`` must still ask its strategy."""
+    g = Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
+    unmarked = marked_set(g, 1 << 0).unmarked
+    assert unmarked == vertex_set([0, 2, 3])
+    assert _step(g.adj, unmarked, 1) == 0
+    assert not _every_move_ends(g, unmarked)
+    assert Solver(g).value(1 << 0, Player.STALLER) == 2
+    greedy = strategies.GreedyDominator()
+    assert g.label(greedy.choose(g, unmarked, Player.STALLER, 0, 1 << 0)) == "v2"
+    forced = strategies.ForcedGameSolver(g, greedy, Player.STALLER)
+    assert forced.value(1 << 0, Player.STALLER) == 1
+    assert forced.value(1 << 0, Player.STALLER, 0, 2) == 1
+
+
 def test_c18_table_holds_one_entry_per_unmarked_state():
     """Played sets that reach the same unmarked set share an entry, and so
     do rotations and reflections of it: C18's two starts fill 159530

@@ -46,9 +46,11 @@ def _load_graph(args, cap: int | None = None) -> Graph:
         if cap is not None:
             check_order(shorthand_order(args.family), cap)
         return from_shorthand(args.family)
+    if args.g6 == "-":
+        with _ascii_stdin() as stdin:
+            return parse_graph6(stdin.readline().strip())
     if args.g6 is not None:
-        text = sys.stdin.readline() if args.g6 == "-" else args.g6
-        return parse_graph6(text.strip())
+        return parse_graph6(args.g6.strip())
     # As for corpora: undecodable bytes become U+FFFD, a GraphFormatError.
     with open(args.edge_list, encoding="ascii", errors="replace") as handle:
         text = handle.read()
@@ -67,17 +69,24 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 @contextmanager
+def _ascii_stdin():
+    """Standard input decoded as ASCII, undecodable bytes as U+FFFD, which the
+    graph6 parser rejects; detached on exit, so ``sys.stdin`` stays open."""
+    stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="ascii", errors="replace")
+    try:
+        yield stdin
+    finally:
+        stdin.detach()
+
+
+@contextmanager
 def _corpus_entries(path: str):
-    # Undecodable bytes become U+FFFD, which the graph6 parser rejects, so
-    # such a line is skipped with a warning like any other malformed line.
-    # The stream opens on entry, so a missing corpus fails before any
-    # output, and stays open while the lab consumes the entries.
+    # A line with undecodable bytes is skipped with a warning like any other
+    # malformed line. The stream opens on entry, so a missing corpus fails
+    # before any output, and stays open while the lab consumes the entries.
     if path == "-":
-        stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="ascii", errors="replace")
-        try:
+        with _ascii_stdin() as stdin:
             yield load_graph6_corpus(stdin, source="stdin")
-        finally:
-            stdin.detach()
         return
     with open(path, encoding="ascii", errors="replace") as handle:
         yield load_graph6_corpus(handle, source=path)

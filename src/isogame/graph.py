@@ -166,37 +166,20 @@ class Graph:
             raise GraphDomainError("degree undefined on the empty graph")
         return self._high
 
-    def _levels(self, source: int) -> Iterator[int]:
-        """Breadth-first levels from ``source``: the masks of the vertices at
-        distance 0, 1, 2, ... The next level is the OR of the current level's
-        neighbor masks, less the vertices already seen."""
-        adj = self._adj
-        seen = frontier = 1 << source
-        while frontier:
-            yield frontier
-            grow = 0
-            while frontier:
-                low = frontier & -frontier
-                grow |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grow & ~seen
-            seen |= frontier
-
     @cached_property
     def components(self) -> tuple[int, ...]:
         """Connected components as bitmasks, ordered by smallest member."""
         if self._n == 0:
             raise GraphDomainError("components undefined on the empty graph")
-        seen = 0
         comps = []
-        for v in range(self._n):
-            if seen >> v & 1:
-                continue
-            comp = 0
-            for level in self._levels(v):
-                comp |= level
+        rest = self._full
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                frontier = open_neighborhood(self, frontier) & ~comp
+                comp |= frontier
             comps.append(comp)
-            seen |= comp
+            rest &= ~comp
         return tuple(comps)
 
     def is_connected(self) -> bool:

@@ -7,9 +7,7 @@ played vertex left isolated after deleting the played neighborhood), and
 the solvers recurse without any memoization. None of it shares code with
 the bitmask engine, which is the point. :func:`brute_forced_value` hands
 a strategy the unmarked set that :func:`marked_vertices` derives, and
-judges its move by :func:`legal_moves`. :func:`distances` and
-:func:`distance` read the graph's breadth-first levels instead, which the
-tests check against a vertex-queue search.
+judges its move by :func:`legal_moves`.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .engine import Player
 from .errors import GraphDomainError, ProtocolViolationError, SolverCapError
-from .graph import Graph, iter_bits
+from .graph import Graph
 
 if TYPE_CHECKING:
     from .strategies import Strategy
@@ -159,27 +157,21 @@ def brute_forced_value(g: Graph, strategy: Strategy, fixed_role: Player,
 
 
 def distances(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """All-pairs distances read off the breadth-first levels that
-    ``Graph.components`` is built from; unreachable pairs get -1."""
+    """All-pairs distances by a vertex-queue breadth-first search from each
+    source; unreachable pairs get -1."""
+    neighbors = [g.neighbors(u) for u in range(g.n)]
     rows = []
     for s in range(g.n):
         dist = [-1] * g.n
-        for d, level in enumerate(g._levels(s)):
-            for w in iter_bits(level):
-                dist[w] = d
+        dist[s] = 0
+        queue = [s]
+        for u in queue:  # visits each vertex appended while it runs
+            for w in neighbors[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
         rows.append(tuple(dist))
     return tuple(rows)
-
-
-def distance(g: Graph, u: int, v: int) -> int:
-    """The distance from ``u`` to ``v`` by the levels from ``u``; -1 when
-    ``v`` is unreachable."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    for d, level in enumerate(g._levels(u)):
-        if level >> v & 1:
-            return d
-    return -1
 
 
 def _is_isolating(g: Graph, members: set[int]) -> bool:

@@ -46,10 +46,22 @@ def test_gen_pipe_solve(capsys):
 
 
 def test_solve_g6_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(emit_graph6(cycle(6)) + "\n"))
+    data = emit_graph6(cycle(6)).encode() + b"\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
     code, out, _ = run(capsys, "solve", "--g6", "-")
     assert code == 0
     assert out.startswith("igt=4")
+
+
+def test_solve_g6_stdin_non_ascii_is_format_error(capsys, monkeypatch):
+    """``--g6 -`` decodes stdin as the corpus commands do, whatever the
+    interpreter's own stdin encoding: an undecodable byte becomes U+FFFD,
+    which the graph6 parser rejects."""
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8"))
+    code, out, err = run(capsys, "solve", "--g6", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: illegal size byte '\ufffd' (byte 0)\n"
 
 
 def test_solve_edge_list_file(capsys, tmp_path):

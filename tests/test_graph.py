@@ -2,7 +2,6 @@
 
 import pickle
 import random
-from collections import deque
 
 import pytest
 
@@ -166,49 +165,38 @@ def test_handshake_and_symmetry_on_random_graphs():
 
 def test_distance_matrix_agrees_with_diameter():
     c6 = cycle(6)
-    assert oracles.distance(c6, 0, 3) == 3
+    assert oracles.distances(c6)[0][3] == 3
     assert c6.diameter == 3
 
 
-def _queue_bfs_distances(g):
-    """All-pairs distances by a vertex-queue BFS, -1 when unreachable."""
-    neighbors = [g.neighbors(u) for u in range(g.n)]
-    rows = []
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in neighbors[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        rows.append(tuple(dist))
-    return tuple(rows)
+def _assert_components_and_diameter_match_the_oracle(g):
+    """``Graph.components`` are the vertex sets each source reaches in
+    ``oracles.distances``, ordered by smallest member, and ``Graph.diameter``
+    is its largest distance, or infinite when some pair is unreachable."""
+    rows = oracles.distances(g)
+    reached = {sum(1 << w for w, d in enumerate(row) if d >= 0) for row in rows}
+    assert g.components == tuple(sorted(reached, key=lambda comp: comp & -comp))
+    if len(reached) == 1:
+        assert g.diameter == max(max(row) for row in rows)
+    else:
+        assert g.diameter == INFINITE_DIAMETER
 
 
-def _assert_levels_match_queue_bfs(g):
-    rows = _queue_bfs_distances(g)
-    assert g.diameter == max(max(row) for row in rows)
-    assert oracles.distances(g) == rows
-
-
-def test_bitset_levels_match_a_queue_bfs_on_the_corpus(corpus_graphs):
+def test_components_and_diameter_match_the_oracle_on_the_corpus(corpus_graphs):
     for g in corpus_graphs:
-        _assert_levels_match_queue_bfs(g)
+        _assert_components_and_diameter_match_the_oracle(g)
 
 
-def test_bitset_levels_match_a_queue_bfs_on_paths_cycles_and_k1():
+def test_components_and_diameter_match_the_oracle_on_paths_cycles_and_k1():
     for n in range(2, 21):
-        _assert_levels_match_queue_bfs(path(n))
+        _assert_components_and_diameter_match_the_oracle(path(n))
         assert path(n).diameter == n - 1
     for n in range(3, 21):
-        _assert_levels_match_queue_bfs(cycle(n))
+        _assert_components_and_diameter_match_the_oracle(cycle(n))
         assert cycle(n).diameter == n // 2
     k1 = Graph(1, [])
     assert k1.diameter == 0.0 and oracles.distances(k1) == ((0,),)
-    _assert_levels_match_queue_bfs(complete(2))
+    _assert_components_and_diameter_match_the_oracle(complete(2))
 
 
 def test_unions_keep_the_infinite_diameter_and_unreachable_distances():
@@ -217,9 +205,10 @@ def test_unions_keep_the_infinite_diameter_and_unreachable_distances():
         g = disjoint_union(parts)
         assert g.diameter == INFINITE_DIAMETER
         assert not isinstance(g.diameter, int)
-        assert oracles.distances(g) == _queue_bfs_distances(g)
+        _assert_components_and_diameter_match_the_oracle(g)
+        assert len(g.components) == len(parts)
         first, last = 0, g.n - 1
-        assert oracles.distance(g, first, last) == -1
+        assert oracles.distances(g)[first][last] == -1
 
 
 def test_induced_subgraph_keeps_structure():

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import pytest
 
 from isogame import oracles
 from isogame.engine import Player
 from isogame.errors import GraphDomainError, SolverCapError
-from isogame.families import complete, cycle, path
+from isogame.families import complete, cycle, disjoint_union, path
 from isogame.graph import Graph
 from isogame.solver import solve_both
 
@@ -49,3 +51,13 @@ def test_parameter_chain_small(small_connected):
         low_total = oracles.iota_t(g)
         assert low <= low_total <= igt
         assert low_total <= igts
+
+
+def test_distances_read_only_the_order_and_the_neighbors():
+    """The oracle's search asks a graph for nothing but ``n`` and
+    ``neighbors(v)``, so it shares no code with the bitset searches."""
+    g = disjoint_union([cycle(6), path(4), complete(3)])
+    standin = SimpleNamespace(n=g.n, neighbors=g.neighbors)
+    rows = oracles.distances(standin)
+    assert rows == oracles.distances(g)
+    assert rows[0][:6] == (0, 1, 2, 3, 2, 1) and rows[0][6] == -1

@@ -157,13 +157,14 @@ def test_extremal_c6_distance_three():
     replies = 0
     for g in graphs:
         staller = ExtremalStaller()
+        dist = oracles.distances(g)
         for comp in g.components:
             if not (comp.bit_count() == 6 and
                     all(g.adj[v].bit_count() == 2 for v in iter_bits(comp))):
                 continue
             for last in iter_bits(comp):
                 state = new_game(g).play(last)
-                (want,) = [v for v in range(g.n) if oracles.distance(g, last, v) == 3]
+                (want,) = [v for v in range(g.n) if dist[last][v] == 3]
                 assert staller.choose(g, state.unmarked(), Player.STALLER, last,
                                       state.played) == want, (g.edges, last)
                 replies += 1

@@ -78,95 +78,93 @@ def _always_strict(facts: GraphFacts) -> bool:
     return True
 
 
-def builtin_bounds() -> tuple[BoundSpec, ...]:
-    """The full bound set, in report order."""
-    return (
-        BoundSpec(
-            name="T31", target=TARGET_DGAME,
-            description="degree-refined bound ((2d-1)n - (D-2)) / (3d-2) on the "
-                        "Dominator-start game (d = min degree, D = max degree)",
-            applies=_base_min2,
-            value=lambda f: Fraction((2 * f.min_degree - 1) * f.n - (f.max_degree - 2),
-                                     3 * f.min_degree - 2),
-            strict=_never_strict,
-        ),
-        BoundSpec(
-            name="C32", target=TARGET_DGAME,
-            description="(2d-1)n / (3d-2) on the Dominator-start game, strict once "
-                        "the max degree reaches 3",
-            applies=_base_min2,
-            value=lambda f: Fraction((2 * f.min_degree - 1) * f.n, 3 * f.min_degree - 2),
-            strict=lambda f: f.max_degree >= 3,
-        ),
-        BoundSpec(
-            name="T33", target=TARGET_SGAME,
-            description="degree-refined bound ((2d-1)n - (d-1)(2d-3)) / (3d-2) on "
-                        "the Staller-start game",
-            applies=_base_min2,
-            value=lambda f: Fraction(
-                (2 * f.min_degree - 1) * f.n - (f.min_degree - 1) * (2 * f.min_degree - 3),
-                3 * f.min_degree - 2),
-            strict=_never_strict,
-        ),
-        BoundSpec(
-            name="C34", target=TARGET_SGAME,
-            description="(2d-1)n / (3d-2) - 1/4 on the Staller-start game, strict "
-                        "once the min degree reaches 3",
-            applies=_base_min2,
-            value=lambda f: Fraction((2 * f.min_degree - 1) * f.n, 3 * f.min_degree - 2)
-            - Fraction(1, 4),
-            strict=lambda f: f.min_degree >= 3,
-        ),
-        BoundSpec(
-            name="C35a", target=TARGET_DGAME,
-            description="3n/4 on the Dominator-start game for min degree >= 2",
-            applies=_base_min2,
-            value=lambda f: Fraction(3 * f.n, 4),
-            strict=_never_strict,
-        ),
-        BoundSpec(
-            name="C35b", target=TARGET_SGAME,
-            description="3n/4 - 1/4 on the Staller-start game for min degree >= 2",
-            applies=_base_min2,
-            value=lambda f: Fraction(3 * f.n, 4) - Fraction(1, 4),
-            strict=_never_strict,
-        ),
-        BoundSpec(
-            name="T36", target=TARGET_BOTH,
-            description="2n/3 on both games for diameter at most 2",
-            applies=lambda f: _base(f) and f.diameter <= 2,
-            value=lambda f: Fraction(2 * f.n, 3),
-            strict=_never_strict,
-        ),
-        BoundSpec(
-            name="T41", target=TARGET_DGAME,
-            description="strict 5n/6 on the Dominator-start game for every "
-                        "connected graph",
-            applies=_base,
-            value=lambda f: Fraction(5 * f.n, 6),
-            strict=_always_strict,
-        ),
-        BoundSpec(
-            name="T42", target=TARGET_SGAME,
-            description="5n/6 on the Staller-start game for every connected graph",
-            applies=_base,
-            value=lambda f: Fraction(5 * f.n, 6),
-            strict=_never_strict,
-        ),
-    )
+# The full bound set, in report order.
+BOUNDS: tuple[BoundSpec, ...] = (
+    BoundSpec(
+        name="T31", target=TARGET_DGAME,
+        description="degree-refined bound ((2d-1)n - (D-2)) / (3d-2) on the "
+                    "Dominator-start game (d = min degree, D = max degree)",
+        applies=_base_min2,
+        value=lambda f: Fraction((2 * f.min_degree - 1) * f.n - (f.max_degree - 2),
+                                 3 * f.min_degree - 2),
+        strict=_never_strict,
+    ),
+    BoundSpec(
+        name="C32", target=TARGET_DGAME,
+        description="(2d-1)n / (3d-2) on the Dominator-start game, strict once "
+                    "the max degree reaches 3",
+        applies=_base_min2,
+        value=lambda f: Fraction((2 * f.min_degree - 1) * f.n, 3 * f.min_degree - 2),
+        strict=lambda f: f.max_degree >= 3,
+    ),
+    BoundSpec(
+        name="T33", target=TARGET_SGAME,
+        description="degree-refined bound ((2d-1)n - (d-1)(2d-3)) / (3d-2) on "
+                    "the Staller-start game",
+        applies=_base_min2,
+        value=lambda f: Fraction(
+            (2 * f.min_degree - 1) * f.n - (f.min_degree - 1) * (2 * f.min_degree - 3),
+            3 * f.min_degree - 2),
+        strict=_never_strict,
+    ),
+    BoundSpec(
+        name="C34", target=TARGET_SGAME,
+        description="(2d-1)n / (3d-2) - 1/4 on the Staller-start game, strict "
+                    "once the min degree reaches 3",
+        applies=_base_min2,
+        value=lambda f: Fraction((2 * f.min_degree - 1) * f.n, 3 * f.min_degree - 2)
+        - Fraction(1, 4),
+        strict=lambda f: f.min_degree >= 3,
+    ),
+    BoundSpec(
+        name="C35a", target=TARGET_DGAME,
+        description="3n/4 on the Dominator-start game for min degree >= 2",
+        applies=_base_min2,
+        value=lambda f: Fraction(3 * f.n, 4),
+        strict=_never_strict,
+    ),
+    BoundSpec(
+        name="C35b", target=TARGET_SGAME,
+        description="3n/4 - 1/4 on the Staller-start game for min degree >= 2",
+        applies=_base_min2,
+        value=lambda f: Fraction(3 * f.n, 4) - Fraction(1, 4),
+        strict=_never_strict,
+    ),
+    BoundSpec(
+        name="T36", target=TARGET_BOTH,
+        description="2n/3 on both games for diameter at most 2",
+        applies=lambda f: _base(f) and f.diameter <= 2,
+        value=lambda f: Fraction(2 * f.n, 3),
+        strict=_never_strict,
+    ),
+    BoundSpec(
+        name="T41", target=TARGET_DGAME,
+        description="strict 5n/6 on the Dominator-start game for every "
+                    "connected graph",
+        applies=_base,
+        value=lambda f: Fraction(5 * f.n, 6),
+        strict=_always_strict,
+    ),
+    BoundSpec(
+        name="T42", target=TARGET_SGAME,
+        description="5n/6 on the Staller-start game for every connected graph",
+        applies=_base,
+        value=lambda f: Fraction(5 * f.n, 6),
+        strict=_never_strict,
+    ),
+)
 
 
 def bound_names() -> tuple[str, ...]:
-    return tuple(spec.name for spec in builtin_bounds())
+    return tuple(spec.name for spec in BOUNDS)
 
 
 def bounds_by_name(names: list[str] | tuple[str, ...] | None) -> tuple[BoundSpec, ...]:
     """Resolve a name filter; None means all bounds. Each named bound is
     returned once, in the order it was first named."""
-    specs = builtin_bounds()
     if names is None:
-        return specs
-    known = {spec.name: spec for spec in specs}
+        return BOUNDS
+    known = {spec.name: spec for spec in BOUNDS}
     unknown = [name for name in names if name not in known]
     if unknown:
         raise UnknownBoundError(
@@ -215,4 +213,4 @@ def check_key(facts: GraphFacts, igt: int, igts: int) -> tuple:
 def check_all(facts: GraphFacts, igt: int, igts: int,
               specs: tuple[BoundSpec, ...] | None = None) -> tuple[BoundCheck, ...]:
     return tuple(check_bound(spec, facts, igt, igts)
-                 for spec in (builtin_bounds() if specs is None else specs))
+                 for spec in (BOUNDS if specs is None else specs))

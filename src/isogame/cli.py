@@ -217,7 +217,7 @@ def _cmd_cp_scan(args) -> int:
     for gap in sorted(scan.histogram):
         print(f"gap {gap:+d}: {scan.histogram[gap]} graphs")
     print(f"max |igtS - igt| = {scan.max_abs_gap}; witnesses: "
-          + ", ".join(gid for gid, _ in scan.witnesses[:10]))
+          + ", ".join(gid for gid, _ in scan.witnesses))
     return 0
 
 

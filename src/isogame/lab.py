@@ -16,7 +16,6 @@ import json
 import os
 import random
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .bounds import (BoundCheck, GraphFacts, bounds_by_name, check_all,
@@ -102,20 +101,12 @@ def _solve_graph(item: tuple[str, Graph]) -> tuple[str, GraphFacts, int, int]:
     return gid, GraphFacts.of(g), igt, solver.value(0, Player.STALLER)
 
 
-class VerifyResult:
-    """The reports of a ``verify`` run in input order, and its skipped
-    entries as ``(gid, reason)``."""
-
-    def __init__(self, reports: list[BoundReport],
-                 skipped: list[tuple[str, str]]):
-        self.reports = reports
-        self.skipped = skipped
-
-    @cached_property
-    def failures(self) -> int:
-        """Reports with a failed check, counted on first read: the summary
-        line, the JSON summary and the exit code all read it."""
-        return sum(1 for report in self.reports if report.failed)
+class VerifyResult(NamedTuple):
+    """The reports of a ``verify`` run in input order, its skipped entries
+    as ``(gid, reason)``, and the number of reports with a failed check."""
+    reports: list[BoundReport]
+    skipped: list[tuple[str, str]]
+    failures: int
 
     @property
     def exit_code(self) -> int:
@@ -156,7 +147,7 @@ def verify(entries: Iterable[CorpusEntry], bound_names: tuple[str, ...] | None =
     try:
         reports = [report(_solve_graph(next(work)))]
     except StopIteration:
-        return VerifyResult(reports=[], skipped=skipped)
+        return VerifyResult(reports=[], skipped=skipped, failures=0)
     second = next(work, None) if jobs > 1 else None
     if second is None:
         reports.extend(map(report, map(_solve_graph, work)))
@@ -165,7 +156,8 @@ def verify(entries: Iterable[CorpusEntry], bound_names: tuple[str, ...] | None =
         with multiprocessing.Pool(jobs) as pool:
             reports.extend(map(report, pool.imap(
                 _solve_graph, itertools.chain((second,), work), chunksize=64)))
-    return VerifyResult(reports=reports, skipped=skipped)
+    return VerifyResult(reports=reports, skipped=skipped,
+                        failures=sum(r.failed for r in reports))
 
 
 class ConjectureScan(NamedTuple):
@@ -217,7 +209,7 @@ def scan_conjecture(entries: Iterable[CorpusEntry]) -> ConjectureScan:
 
 class GapScan(NamedTuple):
     histogram: dict[int, int]
-    witnesses: list[tuple[str, int]]  # graphs attaining the max |gap|
+    witnesses: list[tuple[str, int]]  # the first ten attaining the max |gap|
     skipped: list[tuple[str, str]]
 
     @property
@@ -230,9 +222,10 @@ class GapScan(NamedTuple):
 
 
 def cp_scan(entries: Iterable[CorpusEntry]) -> GapScan:
-    """Histogram of Staller-start minus Dominator-start values."""
+    """Histogram of Staller-start minus Dominator-start values, and the first
+    ten graphs in input order that attain the largest |gap|."""
     histogram: dict[int, int] = {}
-    witnesses: list[tuple[str, int]] = []  # in input order, at the peak so far
+    witnesses: list[tuple[str, int]] = []  # the first ten at the peak so far
     skipped: list[tuple[str, str]] = []
     for gid, g in _solvable(entries, skipped):
         solver = Solver._of_solvable(g)
@@ -242,7 +235,7 @@ def cp_scan(entries: Iterable[CorpusEntry]) -> GapScan:
         peak = abs(witnesses[0][1]) if witnesses else 0
         if abs(gap) > peak:
             witnesses.clear()
-        if abs(gap) >= peak:
+        if abs(gap) >= peak and len(witnesses) < 10:
             witnesses.append((gid, gap))
     return GapScan(histogram=histogram, witnesses=witnesses, skipped=skipped)
 

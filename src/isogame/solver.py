@@ -248,73 +248,39 @@ class Solver:
     its entry, and each store intersects the bound the search found with the
     entry it read, so a value found under a cut window is never read back as
     exact and a bound once known is kept (Knuth & Moore 1975; the two-bound
-    entries of MTD(f), Plaat et al. 1996). The key is the unmarked set
-    itself, or the least image of it under up to ``2n`` automorphisms found
-    in ``__init__``, so that entries are shared per automorphism orbit
-    (Allis 1994). The orbit key is kept only when ``8 < n <= 64`` (below 9,
-    one 8-bit chunk table of images already holds as many entries as the
-    state space; above 64, an image does not fit the 64-bit field it is
-    packed in) and at least ``n`` automorphisms were found (a smaller group
-    saves too few entries to repay the key). Each row of a chunk table is
-    one int whose field of bits ``64 i`` to ``64 i + 63`` is the chunk
-    value's image under the ``i``-th automorphism, so a key costs one OR per
-    chunk and one ``min`` over the fields. The orbit key is memoized per
-    ``Solver``, in a dict that holds one entry per distinct ``U`` the search
-    keys and is freed with the solver. When the automorphisms kept are not
-    closed under composition (on Petersen and Q4, say), two images of ``U``
-    may get different keys, so an orbit can fill several entries; since
-    every image is automorphic to ``U``, an entry never serves a state of
-    another value. Before the table is probed, a non-terminal state whose
-    bracket ``[1, |U|]`` lies outside the window returns the nearer end,
-    ``|U|`` when ``|U| <= alpha`` or 1 when ``beta <= 1``, and one with
-    ``|U| == 1`` returns its value 1; these store nothing, and the default
-    entry could settle no other probe, so :attr:`stats` counts as hits only
-    probes that a stored entry settled. After the probe, a node whose
-    window, narrowed by its entry, has ``beta <= 2`` (every node with ``|U|
-    == 2`` among them) is a leaf: it returns 1 or the lower bound 2 and
-    stores it like a searched result, since its children would say no more.
-    A Dominator leaf returns 1 when :func:`_ending_moves` finds a move
-    marking all of ``U``. A Staller leaf returns 2, for with ``|U| >= 2``
-    some Staller move leaves ``U`` non-empty: a playable vertex of ``U``
-    stays unmarked when played, and if ``U`` holds no edge, its vertices are
-    played ones not yet covered, two of which differ in their neighbors (the
-    later was playable after the earlier marked its neighbors), so a
-    neighbor of one of them misses the other. The public methods take a
-    played set and convert it to its unmarked set once, through ``cache``.
+    entries of MTD(f), Plaat et al. 1996). A state whose bracket lies
+    outside the window, or with ``|U| == 1``, returns before the probe and
+    stores nothing; the default entry could settle no other probe, so
+    :attr:`stats` counts as hits only probes that a stored entry settled.
+
+    The key is the unmarked set itself, or the least image of it under up
+    to ``2n`` automorphisms found in ``__init__``, so that entries are
+    shared per automorphism orbit (Allis 1994). The orbit key is kept only
+    when ``8 < n <= 64`` (below 9, one 8-bit chunk table of images already
+    holds as many entries as the state space; above 64, an image does not
+    fit the 64-bit field it is packed in) and at least ``n`` automorphisms
+    were found (a smaller group saves too few entries to repay the key).
+    When the automorphisms kept are not closed under composition (on
+    Petersen and Q4, say), two images of ``U`` may get different keys, so
+    an orbit can fill several entries; since every image is automorphic to
+    ``U``, an entry never serves a state of another value.
 
     Alpha-beta cuts the most when the best child comes first, so a node
-    tries its playable vertices ``v`` by ``|U & N(v)|``, the unmarked
-    neighbors that playing ``v`` marks (a cheap form of the paper's greedy
-    rule): the most first for Dominator, the fewest first for Staller, ties
-    by lowest index. Each child's sort key is the int ``|U & N(v)| << s |
-    v``, with ``s = n.bit_length()`` and the index bits of ``v`` flipped for
-    Dominator, so one in-place sort, descending for Dominator, gives that
-    order. The codes come from one pass over the adjacency, keeping the
-    vertices with an unmarked neighbor, and each child is stepped only when
-    it is visited.
-
-    :meth:`at_most` answers a yes/no question about the value with one
-    null-window search (the test of MTD(f), Plaat et al. 1996): the window
-    ``(k, k + 1)`` cuts every line once the answer is known, and its bound
-    entries stay in the same table, so a later exact :meth:`value` reuses
-    them.
-
-    :meth:`best_move` scans in index order for the lowest-index child
-    attaining the value ``t``, but tests each child with one such
-    null-window search instead of an exact one. Every Dominator child is
-    worth at least ``t - 1``, so under the window ``(t - 1, t)`` a result
-    at or below ``t - 1`` says it attains ``t``; every Staller child is
-    worth at most ``t - 1``, so under ``(t - 2, t - 1)`` a result at or
-    above ``t - 1`` says so.
+    tries its playable vertices by the unmarked neighbors each marks (a
+    cheap form of the paper's greedy rule): the most first for Dominator,
+    the fewest first for Staller, ties by lowest index. :meth:`best_move`
+    returns the lowest-index child attaining the value, and settles each
+    child with one null-window search. The public methods take a played set
+    and convert it to its unmarked set once, through ``cache``.
 
     A subclass may force one side's moves by defining ``_forced_reply(U,
     last, alpha, beta)``, the moves left after the free side played
     ``last``; ``_search`` and ``_best_move`` then take it as each child's
     value, less the move just made, and the table holds free-side states
-    only, never keyed on an orbit. The leaves hold there too, for either
-    free side: a forced reply is 0 on an empty ``U``, and 1 under ``beta <=
-    1`` before its strategy is asked. ``_key_of``, when set, maps ``U`` to
-    the table's key in place of ``U``.
+    only, never keyed on an orbit. The ``beta <= 2`` leaf of ``_search``
+    holds there too, for either free side: a forced reply is 0 on an empty
+    ``U``, and 1 under ``beta <= 1`` before its strategy is asked.
+    ``_key_of``, when set, maps ``U`` to the table's key in place of ``U``.
     """
 
     _forced_reply = None
@@ -395,8 +361,16 @@ class Solver:
         alpha_in, beta_in = alpha, beta
         adj = self._adj
         if beta <= 2:
-            # The window asks only whether the value is 1: whether one move
-            # ends the game for Dominator, and never for Staller at |U| >= 2.
+            # The window asks only whether the value is 1, so this node
+            # (every node with |U| == 2 among them) is a leaf that stores 1
+            # or the lower bound 2, as its children would say no more.
+            # Dominator may end the game in one move. Staller never can at
+            # |U| >= 2, for some Staller move leaves U non-empty: a playable
+            # vertex of U stays unmarked when played, and if U holds no edge,
+            # its vertices are played ones not yet covered, two of which
+            # differ in their neighbors (the later was playable after the
+            # earlier marked its neighbors), so a neighbor of one of them
+            # misses the other.
             best = 1 if dom and _ending_moves(adj, unmarked) else 2
         else:
             search = self._search

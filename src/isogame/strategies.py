@@ -48,9 +48,7 @@ class Strategy:
 
     name = "strategy"
     reads_played = False
-
-    def __init__(self):
-        self._search: tuple[Graph, object] | None = None
+    _search: tuple[Graph, object] | None = None
 
     def choose(self, g: Graph, unmarked: int, mover: Player,
                last: int | None, played: int) -> int:
@@ -152,7 +150,6 @@ class RandomStrategy(Strategy):
     reads_played = True
 
     def __init__(self, seed: int):
-        super().__init__()
         self.seed = seed
 
     def choose(self, g, unmarked, mover, last, played):
@@ -370,24 +367,20 @@ class ForcedGameSolver(Solver):
     maximizes the total move count), and the search's nodes are its states
     only: each free move ``v`` is followed at once by the strategy's reply
     in :meth:`_forced_reply`, so a child's value is ``1 + forced(U1, last=v)``.
-    The forced step is not stored. It cuts off a window outside the bracket
-    ``[1, |U|]`` like :meth:`Solver._search`, asks ``choose`` with
-    ``last = v``, steps ``U`` and searches on. ``last`` is therefore never a
-    table key, and ``Solver``'s interval entries and window contract hold as
-    they are. The played set rides along on the instance for the strategies
-    that read it, and below :meth:`value_from` no node re-marks the graph.
+    The forced step is not stored, so ``last`` is never a table key, and
+    ``Solver``'s interval entries and window contract hold as they are. The
+    played set rides along on the instance for the strategies that read it,
+    and below :meth:`value_from` no node re-marks the graph.
 
-    The table keys on ``U << 1 | dominator_to_move``, or on ``played << 1 |
-    dominator_to_move`` for a ``reads_played`` strategy. It never keys on
-    ``Solver``'s automorphism orbit: the strategies break ties by lowest
-    index, which an automorphism does not preserve, so automorphic states
-    can have different forced values. The entry points take a played set
-    and convert it to ``U`` through the solver's ``cache``, and each answers
-    the forced game: :meth:`value_from`, and :meth:`value` and
-    :meth:`Solver.at_most` on it, give its length, and :meth:`best_move`
-    the free side's optimal move. The forced side has no move to optimize,
-    and the forced game no principal variation, so ``best_move`` for it and
-    :meth:`game_value` raise :class:`GameStateError`.
+    The table keys on ``U``, or on the played set for a ``reads_played``
+    strategy, and never on an automorphism orbit: the strategies break ties
+    by lowest index, which an automorphism does not preserve, so automorphic
+    states can have different forced values. :meth:`value_from`, and
+    :meth:`value` and :meth:`Solver.at_most` on it, give the forced game's
+    length, and :meth:`best_move` the free side's optimal move. The forced
+    side has no move to optimize, and the forced game no principal
+    variation, so ``best_move`` for it and :meth:`game_value` raise
+    :class:`GameStateError`.
     """
 
     def __init__(self, g: Graph, strategy: Strategy, fixed_role: Player):
@@ -470,7 +463,6 @@ class BestResponseStrategy(Strategy):
     reads_played = True
 
     def __init__(self, opponent: Strategy, role: Player):
-        super().__init__()
         self.opponent = opponent
         self.role = role
 

@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 
 from isogame import oracles
-from isogame.bounds import (GraphFacts, bound_names, bounds_by_name,
-                            builtin_bounds, check_all, check_bound,
-                            largest_satisfying, satisfies)
+from isogame.bounds import (BOUNDS, GraphFacts, bound_names, bounds_by_name,
+                            check_all, check_bound, largest_satisfying,
+                            satisfies)
 from isogame.families import complete, cycle, disjoint_union, path
 from isogame.graph import INFINITE_DIAMETER, Graph
 from isogame.solver import solve_both
 
-SPECS = {spec.name: spec for spec in builtin_bounds()}
+SPECS = {spec.name: spec for spec in BOUNDS}
 
 
 def test_builtin_bound_names():
@@ -100,7 +100,7 @@ def test_largest_satisfying_is_the_last_value_that_satisfies(bound, strict):
 def test_largest_satisfying_every_applicable_bound(small_connected):
     for g in small_connected:
         facts = GraphFacts.of(g)
-        for spec in builtin_bounds():
+        for spec in BOUNDS:
             if not spec.applies(facts):
                 continue
             value, strict = spec.value(facts), spec.strict(facts)

@@ -156,6 +156,45 @@ def test_verify_corpus_file(capsys, tmp_path):
     assert len(payload["reports"]) == 3
 
 
+def test_verify_reports_a_failed_bound(capsys, tmp_path, monkeypatch):
+    """A bound ``X`` of 1 on the Staller-start game fails on every connected
+    graph with n >= 3, whose value is at least 2, and does not apply to the
+    disconnected P3+C6, so three of the four graphs fail."""
+    import isogame.bounds
+    from fractions import Fraction
+    from isogame.families import disjoint_union
+    from isogame.lab import load_graph6_corpus, verify
+    bounds = isogame.bounds.BOUNDS
+    monkeypatch.setattr(isogame.bounds, "BOUNDS", bounds + (
+        bounds[-1]._replace(name="X", value=lambda f: Fraction(1)),))
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("".join(emit_graph6(g) + "\n" for g in (
+        path(5), disjoint_union([path(3), cycle(6)]), cycle(5), complete(4))))
+    expected = [f"{corpus}:1 n=5 igt=2 igtS=4 FAIL X",
+                f"{corpus}:2 n=9 igt=6 igtS=6 ok",
+                f"{corpus}:3 n=5 igt=3 igtS=2 FAIL X",
+                f"{corpus}:4 n=4 igt=2 igtS=2 FAIL X",
+                "verified 4 graphs, 3 failures, 0 skipped"]
+    json_file, csv_file = tmp_path / "r.json", tmp_path / "r.csv"
+    for out_file in (json_file, csv_file):
+        code, out, err = run(capsys, "verify", str(corpus), "--out", str(out_file))
+        assert (code, out.splitlines(), err) == (1, expected, ""), out_file
+    failed = [(f"{corpus}:{k}", "X") for k in (1, 3, 4)]
+    payload = json.loads(json_file.read_text())
+    assert payload["summary"] == {"graphs": 4, "failures": 3}
+    assert [(r["id"], c["name"]) for r in payload["reports"] for c in r["bounds"]
+            if c["applicable"] and not c["pass"]] == failed
+    rows = [line.split(",") for line in csv_file.read_text().splitlines()[1:]]
+    assert [(row[0], row[9]) for row in rows if row[-1] == "0"] == failed
+    assert {row[-1] for row in rows} == {"0", "1"}
+    with open(corpus) as lines:
+        result = verify(load_graph6_corpus(lines))
+    assert result.failures == sum(
+        any(c.applicable and not c.passed for c in report.checks)
+        for report in result.reports) == 3
+    assert result.exit_code == 1
+
+
 def test_verify_malformed_line_warns_but_passes(capsys, tmp_path):
     corpus = tmp_path / "c.g6"
     corpus.write_text(emit_graph6(path(5)) + "\n@@@bad@@@\n")
@@ -467,11 +506,13 @@ def test_verify_jobs_flag(capsys, tmp_path, monkeypatch):
 
 def test_cp_scan_shows_histogram(capsys, tmp_path):
     corpus = tmp_path / "c.g6"
-    corpus.write_text(emit_graph6(path(5)) + "\n")
+    corpus.write_text((emit_graph6(cycle(5)) + "\n" + emit_graph6(path(5)) + "\n") * 12)
     code, out, _ = run(capsys, "cp-scan", str(corpus))
     assert code == 0
-    assert "gap +2: 1 graphs" in out
-    assert "max |igtS - igt| = 2" in out
+    assert "gap +2: 12 graphs" in out
+    # The first ten graphs at the peak, all of those that cp_scan keeps.
+    assert out.splitlines()[-1] == "max |igtS - igt| = 2; witnesses: " \
+        + ", ".join(f"{corpus}:{line}" for line in range(2, 21, 2))
 
 
 def test_diam2_subcommand(capsys):

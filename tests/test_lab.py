@@ -275,6 +275,19 @@ def test_cp_scan_witnesses_follow_a_growing_peak_in_input_order():
     assert flat.witnesses == [("k3", 0), ("k4", 0)]
 
 
+def test_cp_scan_keeps_the_first_ten_witnesses_at_the_peak():
+    # Twelve graphs reach |gap| 1, then twelve more reach 2 between graphs
+    # of gap 0: the list restarts at the new peak and stops at ten.
+    graphs = [(f"c5-{k}", cycle(5)) for k in range(12)]
+    for k in range(12):
+        graphs += [(f"k3-{k}", complete(3)), (f"p5-{k}", path(5))]
+    scan = cp_scan(CorpusEntry(gid, g) for gid, g in graphs)
+    assert scan.histogram == {-1: 12, 0: 12, 2: 12}
+    assert scan.witnesses == [(f"p5-{k}", 2) for k in range(10)]
+    assert cp_scan(CorpusEntry(gid, g) for gid, g in graphs[:12]).witnesses \
+        == [(f"c5-{k}", -1) for k in range(10)]
+
+
 def test_load_corpus_reads_one_line_per_entry():
     read = []
 
@@ -416,6 +429,12 @@ def _unmemoized(result, entries, bound_names=None):
             for report in result.reports]
 
 
+def _result(reports, skipped):
+    """A hand-built ``VerifyResult`` that counts its failures as ``verify`` does."""
+    return VerifyResult(reports=reports, skipped=skipped,
+                        failures=sum(report.failed for report in reports))
+
+
 def _failing_report():
     failing = BoundCheck(name="T41", target="igt", applicable=True,
                          value=Fraction(5, 2), strict=True, passed=False,
@@ -436,10 +455,9 @@ def test_json_report_bytes_match_json_dump(corpus_slice):
         verify(corpus_slice),
         verify(corpus_slice, bound_names=("T41", "T42")),
         verify(corpus_slice[:5], bound_names=()),
-        VerifyResult(reports=[], skipped=[]),
+        _result([], []),
         odd_result,
-        VerifyResult(reports=odd_result.reports[:1] + [_failing_report()],
-                     skipped=odd_result.skipped),
+        _result(odd_result.reports[:1] + [_failing_report()], odd_result.skipped),
     ]
     assert results[-1].failures == 1
     for result in results:
@@ -451,8 +469,7 @@ def test_json_report_bytes_match_json_dump(corpus_slice):
 def test_csv_report_is_unchanged_by_the_check_memo(corpus_slice):
     for names in (None, ("T41", "T42")):
         result = verify(corpus_slice, bound_names=names)
-        fresh = VerifyResult(reports=_unmemoized(result, corpus_slice, names),
-                             skipped=result.skipped)
+        fresh = _result(_unmemoized(result, corpus_slice, names), result.skipped)
         assert _written(write_csv_report, result) == _written(write_csv_report, fresh)
 
 

@@ -12,7 +12,8 @@ import pytest
 from isogame.bounds import BoundCheck, BoundSpec, GraphFacts
 from isogame.engine import GameState, Player
 from isogame.families import cycle
-from isogame.lab import BoundReport, ConjectureScan, Diameter2Summary, GapScan
+from isogame.lab import (BoundReport, ConjectureScan, Diameter2Summary, GapScan,
+                         VerifyResult)
 from isogame.solver import GameValue, TableStats
 from isogame.strategies import GameTrace, MoveRecord, StageSnapshot
 
@@ -33,6 +34,9 @@ _GRAPH = cycle(6)
 _MOVE = MoveRecord(vertex=2, mover=Player.STALLER, new_marks=3, stage=1, note="n")
 _CHECK = BoundCheck(name="T41", target="igt", applicable=True, value=Fraction(5, 2),
                     strict=True, passed=False, slack=Fraction(-1, 2))
+
+_REPORT = BoundReport(gid="x:1", n=3, m=2, min_degree=1, max_degree=2,
+                      diameter=2.0, igt=3, igts=2, checks=(_CHECK,))
 
 # Each record type, its field order, and one value per field.
 RECORDS = [
@@ -55,6 +59,8 @@ RECORDS = [
                   "slack": Fraction(-1, 2)}),
     (BoundReport, {"gid": "x:1", "n": 3, "m": 2, "min_degree": 1, "max_degree": 2,
                    "diameter": 2.0, "igt": 3, "igts": 2, "checks": (_CHECK,)}),
+    (VerifyResult, {"reports": [_REPORT], "skipped": [("x:2", "r")],
+                    "failures": 1}),
     (ConjectureScan, {"counterexamples": [("x:1", 9, 7)], "checked": 1,
                       "skipped": [("x:2", "r")]}),
     (GapScan, {"histogram": {0: 2, 1: 1}, "witnesses": [("x:3", 1)],
